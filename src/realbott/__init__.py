@@ -3,6 +3,7 @@ projectivized sums of real line bundles over real projective space."""
 
 from .arithmetic import (
     ClassificationVerdict,
+    OracleDisagreement,
     StableKOClass,
     classify,
     cohomology_criterion,
@@ -76,5 +77,6 @@ __all__ = [
     "stable_class",
     "stable_iso",
     "ClassificationVerdict",
+    "OracleDisagreement",
     "classify",
 ]

@@ -29,6 +29,7 @@ __all__ = [
     "stable_class",
     "stable_iso",
     "ClassificationVerdict",
+    "OracleDisagreement",
     "classify",
 ]
 
@@ -196,6 +197,10 @@ class ClassificationVerdict:
             raise ValueError("homotopy equivalence must coincide with diffeomorphism")
 
 
+class OracleDisagreement(RuntimeError):
+    """The ring oracle and the congruence criterion gave different verdicts."""
+
+
 def classify(
     a: int, b: int, q: int, q_prime: int, with_oracle: bool = False
 ) -> ClassificationVerdict:
@@ -203,7 +208,8 @@ def classify(
 
     With with_oracle=True the brute-force isomorphism search is run and its
     witness attached.  A disagreement between the oracle and the congruence
-    criterion raises, since it would mean the implementation is broken.
+    criterion raises OracleDisagreement, since it would mean the
+    implementation is broken.
     """
     _check_pair_ranges(a, b, q, q_prime)
     diffeo = diffeo_criterion(a, b, q, q_prime)
@@ -226,7 +232,7 @@ def classify(
             RingPresentation(a, b, q), RingPresentation(a, b, q_prime)
         )
         if result.isomorphic != verdict.cohomology_isomorphic:
-            raise RuntimeError(
+            raise OracleDisagreement(
                 f"ring oracle disagrees with the congruence criterion on "
                 f"(a={a}, b={b}, q={q}, q'={q_prime}): oracle says "
                 f"{result.isomorphic}, criterion says "

@@ -3,8 +3,9 @@
 Machine-readable output comes in three flavors (csv, json, jsonl) next to
 the default human-readable table.  Classification records always carry the
 same nine scalar fields, in a fixed order; the CSV header is bit-exact so
-downstream ingestion can rely on it.  Exit codes: 0 success, 1 verification
-mismatch, 2 usage error.
+downstream ingestion can rely on it.  Exit codes: 0 success, 1 the ring
+oracle and the congruence criterion disagree, 2 usage error, 3 internal
+error (with its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import click
 
 from .arithmetic import (
     ClassificationVerdict,
+    OracleDisagreement,
     classify as classify_pair,
     cohomology_criterion,
     counterexample_pair,
@@ -44,6 +46,8 @@ SCHEMA = (
 )
 
 FORMATS = ("text", "csv", "json", "jsonl")
+
+INTERNAL_ERROR_EXIT = 3
 
 
 def record_from_verdict(verdict: ClassificationVerdict) -> dict:
@@ -117,7 +121,23 @@ out_option = click.option(
 )
 
 
-@click.group()
+class _Group(click.Group):
+    """Exits INTERNAL_ERROR_EXIT on an unexpected exception: 1 means a mismatch."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception:
+            import traceback  # here, not at the top: start-up need not pay for it
+
+            traceback.print_exc()
+            click.echo("realbott: internal error", err=True)
+            ctx.exit(INTERNAL_ERROR_EXIT)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Classify projectivized sums of line bundles over real projective space.
 
@@ -140,7 +160,7 @@ def classify(a, b, q, q_prime, oracle, fmt, out) -> None:
     """Classify a single pair (q, q') for fixed (a, b)."""
     try:
         verdict = _validated_verdict(a, b, q, q_prime, with_oracle=oracle)
-    except RuntimeError as exc:
+    except OracleDisagreement as exc:
         click.echo(str(exc), err=True)
         sys.exit(1)
     emit_records([record_from_verdict(verdict)], fmt, out)
@@ -161,6 +181,11 @@ def table(a, b, fmt, out) -> None:
     emit_records(records, fmt, out)
 
 
+def _check_bounds(a: int, b: int) -> None:
+    if a < 1 or b < 1:
+        raise click.UsageError(f"bounds must be >= 1, got a={a}, b={b}")
+
+
 @main.command()
 @click.option("--a-max", required=True, type=int)
 @click.option("--b-max", required=True, type=int)
@@ -169,8 +194,7 @@ def table(a, b, fmt, out) -> None:
 def counterexamples(a_max, b_max, fmt, out) -> None:
     """List, for each (a, b) in range where rigidity fails, a constructed
     pair with isomorphic cohomology but non-diffeomorphic manifolds."""
-    if a_max < 1 or b_max < 1:
-        raise click.UsageError("bounds must be >= 1")
+    _check_bounds(a_max, b_max)
     records = []
     for a in range(1, a_max + 1):
         for b in range(1, b_max + 1):
@@ -189,9 +213,11 @@ def counterexamples(a_max, b_max, fmt, out) -> None:
 def _parse_only(text: str) -> tuple[int, int]:
     try:
         fields = dict(part.split("=", 1) for part in text.split(","))
-        return int(fields["a"]), int(fields["b"])
+        a, b = int(fields["a"]), int(fields["b"])
     except (ValueError, KeyError) as exc:
         raise click.UsageError(f"--only expects 'a=<int>,b=<int>', got {text!r}") from exc
+    _check_bounds(a, b)
+    return a, b
 
 
 @main.command()
@@ -204,8 +230,7 @@ def _parse_only(text: str) -> tuple[int, int]:
 def verify(a_max, b_max, only, extended, out) -> None:
     """Machine-check the congruence criterion against the ring oracle on an
     exhaustive (a, b, q, q') grid.  Exits 1 on any mismatch."""
-    if a_max < 1 or b_max < 1:
-        raise click.UsageError("bounds must be >= 1")
+    _check_bounds(a_max, b_max)
     cells = [_parse_only(only)] if only else [
         (a, b) for a in range(1, a_max + 1) for b in range(1, b_max + 1)
     ]
@@ -229,6 +254,8 @@ def verify(a_max, b_max, only, extended, out) -> None:
                     )
         mismatches += cell_mismatches
         out.write(f"a={a} b={b}: {(b + 1) ** 2} pairs, {cell_mismatches} mismatches\n")
+    if not cases:
+        raise click.UsageError("no (a, b, q, q') pair to check")
     if extended:
         out.write(_extended_sweeps())
     elapsed = time.perf_counter() - start

@@ -5,7 +5,8 @@ the first Stiefel-Whitney class of the tautological bundle gamma on the
 base and y is the first Stiefel-Whitney class of the tautological bundle
 of the projectivization.  The monomials x^i y^j with 0 <= i < a and
 0 <= j < b form an additive basis, and every element is handled in that
-normal form.
+normal form.  Reduction works degree by degree on homogeneous bitmasks
+(bit i of a degree-d mask is the coefficient of x^i y^(d-i)).
 
 Reduction uses two rewriting rules:
 
@@ -20,10 +21,9 @@ linear-algebra reduction of the ideal is verified in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
-from .gf2poly import PolyGF2, binom_mod2, format_terms
+from .gf2poly import PolyGF2, clmul, format_terms, linear_power, sierpinski_row
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,9 @@ class RingPresentation:
     a: int
     b: int
     q: int
+    # masks of the x-exponents below a, and of the second relation cut to them
+    _below_a: int = field(init=False, repr=False, compare=False)
+    _rel2: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a < 1:
@@ -45,6 +48,9 @@ class RingPresentation:
             raise ValueError(f"b must be >= 1, got {self.b}")
         if not 0 <= self.q <= self.b:
             raise ValueError(f"q must satisfy 0 <= q <= b, got q={self.q}, b={self.b}")
+        below_a = (1 << self.a) - 1
+        object.__setattr__(self, "_below_a", below_a)
+        object.__setattr__(self, "_rel2", sierpinski_row(self.q) & below_a)
 
     @property
     def dimension(self) -> int:
@@ -59,6 +65,22 @@ class RingPresentation:
     def basis(self, d: int) -> list[tuple[int, int]]:
         """Basis monomials x^i y^j of degree d, ordered by increasing i."""
         return [(i, d - i) for i in range(self.a) if 0 <= d - i < self.b]
+
+    def reduce(self, mask: int, d: int) -> int:
+        """Normal form of the degree-d piece mask, as a mask on the basis.
+
+        R2 rewrites bit i <= d - b (y-exponent >= b) by xoring in the second
+        relation shifted by i, which sets only higher bits, so one ascending
+        pass suffices; bits >= a need no R2, since R1 drops them.
+        """
+        last = min(d - self.b, self.a - 1)
+        mask &= self._below_a
+        while mask:
+            i = (mask & -mask).bit_length() - 1
+            if i > last:
+                break
+            mask ^= self._rel2 << i
+        return mask & self._below_a
 
 
 @dataclass(frozen=True)
@@ -101,41 +123,14 @@ class RingElement:
 def relation_polys(pres: RingPresentation) -> tuple[PolyGF2, PolyGF2]:
     """The two ideal generators (x^a, expansion of (x+y)^q y^(b-q))."""
     rel1 = PolyGF2.monomial(pres.a, 0)
-    rel2 = PolyGF2(
-        (i, pres.b - i) for i in range(pres.q + 1) if binom_mod2(pres.q, i)
-    )
+    rel2 = PolyGF2.from_masks([0] * pres.b + [sierpinski_row(pres.q)])
     return rel1, rel2
-
-
-@lru_cache(maxsize=None)
-def _reduce_monomial(a: int, b: int, q: int, i: int, j: int) -> frozenset:
-    """Normal form of the single monomial x^i y^j, as a set of basis pairs.
-
-    Reduction of a monomial is a deterministic linear map, so per-monomial
-    results can be cached across all callers of the same presentation.
-    """
-    if i >= a:
-        return frozenset()
-    if j < b:
-        return frozenset([(i, j)])
-    acc: set = set()
-    for t in range(1, q + 1):
-        if binom_mod2(q, t):
-            acc ^= _reduce_monomial(a, b, q, i + t, j - t)
-    return frozenset(acc)
 
 
 def normal_form(p: PolyGF2, pres: RingPresentation) -> RingElement:
     """Reduce a polynomial to the unique representative on the basis."""
-    acc: set = set()
-    for i, j in p.terms:
-        acc ^= _reduce_monomial(pres.a, pres.b, pres.q, i, j)
-    return RingElement(pres, frozenset(acc))
-
-
-def element(p: PolyGF2, pres: RingPresentation) -> RingElement:
-    """Alias of normal_form, reads better at call sites building elements."""
-    return normal_form(p, pres)
+    reduced = PolyGF2.from_masks(pres.reduce(mask, d) for d, mask in enumerate(p.masks))
+    return RingElement(pres, reduced.terms)
 
 
 def nonvanishing_check(pres: RingPresentation) -> tuple[bool, bool]:
@@ -145,9 +140,7 @@ def nonvanishing_check(pres: RingPresentation) -> tuple[bool, bool]:
     fail, which is what makes x recognizable among degree-1 elements.
     """
     a = pres.a
-    y_a = normal_form(PolyGF2.monomial(0, a), pres)
-    xy_a = normal_form(PolyGF2([(1, 0), (0, 1)]) ** a, pres)
-    return bool(y_a), bool(xy_a)
+    return bool(pres.reduce(1, a)), bool(pres.reduce(sierpinski_row(a), a))
 
 
 def betti(pres: RingPresentation, d: int) -> int:
@@ -164,8 +157,16 @@ def total_sw_class(pres: RingPresentation) -> RingElement:
     with w1 = y, and a base contribution (1+x)^a.  Cross-validated by the
     swap symmetry q <-> b - q in the test suite.
     """
-    one_x = PolyGF2([(0, 0), (1, 0)])
-    one_y = PolyGF2([(0, 0), (0, 1)])
-    one_xy = PolyGF2([(0, 0), (1, 0), (0, 1)])
-    w = one_x ** pres.a * one_y ** (pres.b - pres.q) * one_xy ** pres.q
-    return normal_form(w, pres)
+    top = pres.top_degree
+    pieces = [1] + [0] * top  # bits >= a and degrees > top vanish in the ring
+    # the forms x, y and x+y as masks, each with its exponent
+    for form, n in ((0b10, pres.a), (0b01, pres.b - pres.q), (0b11, pres.q)):
+        # (1 + L)^n is the product of 1 + L^e over the powers of two e in n
+        e = 1
+        while e <= min(n, top):
+            if n & e:
+                power = linear_power(form, e)
+                for d in range(top, e - 1, -1):
+                    pieces[d] ^= clmul(pieces[d - e], power) & pres._below_a
+            e <<= 1
+    return normal_form(PolyGF2.from_masks(pieces), pres)

@@ -1,16 +1,15 @@
-"""Sparse bivariate polynomials over GF(2), and binomial coefficients mod 2.
+"""Bivariate polynomials over GF(2), one bitmask per homogeneous degree.
 
-A polynomial is a finite set of exponent pairs (i, j): the pair is present
-iff the monomial x^i y^j has coefficient 1.  Addition is symmetric
-difference, so p + p = 0 for every p.  All arithmetic is exact; Python's
-arbitrary-precision integers mean exponents cannot overflow.
+Bit i of the degree-d mask is the coefficient of x^i y^(d-i): addition is
+xor and the product of two pieces is a carry-less multiply.  All arithmetic
+is exact; Python's arbitrary-precision integers cannot overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
+from itertools import zip_longest
+from typing import Iterable, Iterator
 
 def binom_mod2(n: int, m: int) -> int:
     """Binomial coefficient C(n, m) mod 2; 0 when m < 0 or m > n.
@@ -24,45 +23,110 @@ def binom_mod2(n: int, m: int) -> int:
     return int(m & ~n == 0)
 
 
-@dataclass(frozen=True)
-class PolyGF2:
-    """Polynomial over GF(2) in x, y, stored as a frozenset of (i, j) pairs."""
+def sierpinski_row(n: int) -> int:
+    """(x+y)^n as a degree-n mask, whose bits are the submasks of n (Lucas).
 
-    terms: frozenset[tuple[int, int]]
+    The product over the bits e of n of (1 + 2^e) sums 2^s over each
+    submask s exactly once, so ordinary multiplication never carries.
+    """
+    row = 1
+    while n:
+        low = n & -n
+        row *= 1 | 1 << low
+        n ^= low
+    return row
+
+
+def clmul(u: int, v: int) -> int:
+    """Carry-less product of two masks: the product of homogeneous pieces."""
+    if u.bit_count() < v.bit_count():
+        u, v = v, u
+    acc = 0
+    while v:
+        low = v & -v
+        acc ^= u << low.bit_length() - 1
+        v ^= low
+    return acc
+
+
+def linear_power(form: int, n: int) -> int:
+    """(cx*x + cy*y)^n as a degree-n mask, for the form mask cx << 1 | cy."""
+    if form == 0b11:
+        return sierpinski_row(n)
+    if form == 0b10:
+        return 1 << n
+    if form == 0b01:
+        return 1
+    return int(n == 0)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True, init=False)
+class PolyGF2:
+    """Polynomial over GF(2) in x, y, built from its (i, j) exponent pairs.
+
+    masks[d] is the degree-d piece; trailing zero pieces are trimmed.
+    """
+
+    masks: tuple[int, ...]
 
     def __init__(self, terms: Iterable[tuple[int, int]] = ()):
-        terms = frozenset(terms)
+        masks: list[int] = []
         for i, j in terms:
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in term {(i, j)}")
-        object.__setattr__(self, "terms", terms)
+            masks.extend([0] * (i + j + 1 - len(masks)))
+            masks[i + j] |= 1 << i
+        object.__setattr__(self, "masks", tuple(masks))
+
+    @classmethod
+    def from_masks(cls, masks: Iterable[int]) -> "PolyGF2":
+        masks = list(masks)
+        while masks and not masks[-1]:
+            masks.pop()
+        poly = cls.__new__(cls)
+        object.__setattr__(poly, "masks", tuple(masks))
+        return poly
 
     @classmethod
     def monomial(cls, i: int, j: int) -> "PolyGF2":
         return cls([(i, j)])
 
     @classmethod
-    def zero(cls) -> "PolyGF2":
-        return cls()
-
-    @classmethod
     def one(cls) -> "PolyGF2":
         return cls([(0, 0)])
 
+    @property
+    def terms(self) -> frozenset[tuple[int, int]]:
+        """The exponent pairs (i, j) whose monomial x^i y^j has coefficient 1."""
+        return frozenset(
+            (i, d - i) for d, mask in enumerate(self.masks) for i in _bits(mask)
+        )
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.masks)
 
     def __add__(self, other: "PolyGF2") -> "PolyGF2":
-        return PolyGF2(self.terms ^ other.terms)
+        return PolyGF2.from_masks(
+            u ^ v for u, v in zip_longest(self.masks, other.masks, fillvalue=0)
+        )
 
     __sub__ = __add__
 
     def __mul__(self, other: "PolyGF2") -> "PolyGF2":
-        acc: set[tuple[int, int]] = set()
-        for i1, j1 in self.terms:
-            for i2, j2 in other.terms:
-                acc ^= {(i1 + i2, j1 + j2)}
-        return PolyGF2(acc)
+        acc = [0] * (len(self.masks) + len(other.masks) - 1)
+        for d1, u in enumerate(self.masks):
+            if u:
+                for d2, v in enumerate(other.masks):
+                    if v:
+                        acc[d1 + d2] ^= clmul(u, v)
+        return PolyGF2.from_masks(acc)
 
     def __pow__(self, n: int) -> "PolyGF2":
         if n < 0:
@@ -78,7 +142,7 @@ class PolyGF2:
 
     def degree(self) -> int:
         """Total degree (-1 for the zero polynomial)."""
-        return max((i + j for i, j in self.terms), default=-1)
+        return len(self.masks) - 1
 
     def __str__(self) -> str:
         return format_terms(self.terms)
@@ -87,7 +151,7 @@ class PolyGF2:
 X = PolyGF2.monomial(1, 0)
 Y = PolyGF2.monomial(0, 1)
 ONE = PolyGF2.one()
-ZERO = PolyGF2.zero()
+ZERO = PolyGF2()
 
 
 @dataclass(frozen=True)
@@ -106,14 +170,14 @@ class LinearSubstitution:
             if c not in (0, 1):
                 raise ValueError("substitution coefficients must be bits")
 
-    def x_poly(self) -> PolyGF2:
-        return _form_poly(self.x_image)
-
-    def y_poly(self) -> PolyGF2:
-        return _form_poly(self.y_image)
+    @property
+    def forms(self) -> tuple[int, int]:
+        """The images of x and y as degree-1 masks."""
+        (xx, xy), (yx, yy) = self.x_image, self.y_image
+        return xx << 1 | xy, yx << 1 | yy
 
     def __str__(self) -> str:
-        return f"x->{_form_str(self.x_image)}, y->{_form_str(self.y_image)}"
+        return f"x->{_FORM_NAMES[self.x_image]}, y->{_FORM_NAMES[self.y_image]}"
 
 
 IDENTITY_SUBSTITUTION = LinearSubstitution((1, 0), (0, 1))
@@ -124,38 +188,20 @@ COMPLEMENT_SUBSTITUTION = LinearSubstitution((1, 0), (1, 1))
 _FORM_NAMES = {(0, 0): "0", (1, 0): "x", (0, 1): "y", (1, 1): "x+y"}
 
 
-def _form_str(coeffs: tuple[int, int]) -> str:
-    return _FORM_NAMES[coeffs]
-
-
-def _form_poly(coeffs: tuple[int, int]) -> PolyGF2:
-    cx, cy = coeffs
-    terms = []
-    if cx:
-        terms.append((1, 0))
-    if cy:
-        terms.append((0, 1))
-    return PolyGF2(terms)
-
-
 def substitute_linear(p: PolyGF2, subst: LinearSubstitution) -> PolyGF2:
     """Replace x, y by their linear images and expand.
 
     This is the GF(2)-algebra endomorphism of the polynomial ring determined
     by the substitution: it commutes with + and *.
     """
-    xp, yp = subst.x_poly(), subst.y_poly()
-    # cache powers: exponents repeat across terms
-    xpows: dict[int, PolyGF2] = {}
-    ypows: dict[int, PolyGF2] = {}
-    acc = PolyGF2.zero()
-    for i, j in p.terms:
-        if i not in xpows:
-            xpows[i] = xp ** i
-        if j not in ypows:
-            ypows[j] = yp ** j
-        acc = acc + xpows[i] * ypows[j]
-    return acc
+    fx, fy = subst.forms
+    images = []
+    for d, mask in enumerate(p.masks):
+        image = 0
+        for i in _bits(mask):
+            image ^= clmul(linear_power(fx, i), linear_power(fy, d - i))
+        images.append(image)
+    return PolyGF2.from_masks(images)
 
 
 def format_terms(terms: Iterable[tuple[int, int]]) -> str:

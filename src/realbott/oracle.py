@@ -14,22 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cohomology import RingPresentation, betti, normal_form, relation_polys
-from .gf2poly import (
-    COMPLEMENT_SUBSTITUTION,
-    IDENTITY_SUBSTITUTION,
-    SWAP_SUBSTITUTION,
-    LinearSubstitution,
-    PolyGF2,
-    binom_mod2,
-    substitute_linear,
-)
+from .cohomology import RingPresentation, betti
+from .gf2poly import LinearSubstitution, clmul, linear_power
 
 __all__ = [
-    "LinearSubstitution",
-    "IDENTITY_SUBSTITUTION",
-    "SWAP_SUBSTITUTION",
-    "COMPLEMENT_SUBSTITUTION",
     "IsoVerdict",
     "enumerate_substitutions",
     "induces_homomorphism",
@@ -50,10 +38,13 @@ class IsoVerdict:
             raise ValueError("witness must be present exactly when isomorphic")
 
 
+_FORMS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_SUBSTITUTIONS = tuple(LinearSubstitution(fx, fy) for fx in _FORMS for fy in _FORMS)
+
+
 def enumerate_substitutions() -> list[LinearSubstitution]:
     """All 16 maps sending x, y to linear forms in {0, x, y, x+y}."""
-    forms = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    return [LinearSubstitution(fx, fy) for fx in forms for fy in forms]
+    return list(_SUBSTITUTIONS)
 
 
 def _check_same_shape(src: RingPresentation, dst: RingPresentation) -> None:
@@ -67,24 +58,17 @@ def _check_same_shape(src: RingPresentation, dst: RingPresentation) -> None:
 def induces_homomorphism(
     subst: LinearSubstitution, src: RingPresentation, dst: RingPresentation
 ) -> bool:
-    """True iff both source relations land in the target ideal."""
+    """True iff both source relations land in the target ideal.
+
+    With x -> L1 and y -> L2 the relations x^a and (x+y)^q y^(b-q) map to
+    L1^a and (L1+L2)^q L2^(b-q), homogeneous of degrees a and b.
+    """
     _check_same_shape(src, dst)
-    return all(
-        not normal_form(substitute_linear(rel, subst), dst)
-        for rel in relation_polys(src)
-    )
-
-
-def _linear_form_power(coeffs: tuple[int, int], n: int) -> PolyGF2:
-    """(cx*x + cy*y)^n expanded, without generic polynomial products."""
-    cx, cy = coeffs
-    if cx and cy:
-        return PolyGF2((t, n - t) for t in range(n + 1) if binom_mod2(n, t))
-    if cx:
-        return PolyGF2.monomial(n, 0)
-    if cy:
-        return PolyGF2.monomial(0, n)
-    return PolyGF2.one() if n == 0 else PolyGF2.zero()
+    fx, fy = subst.forms
+    if dst.reduce(linear_power(fx, src.a), src.a):
+        return False
+    image = clmul(linear_power(fx ^ fy, src.q), linear_power(fy, src.b - src.q))
+    return not dst.reduce(image, src.b)
 
 
 def _rank_bits(rows: list[int]) -> int:
@@ -117,16 +101,12 @@ def is_graded_isomorphism(
     _check_same_shape(src, dst)
     if not induces_homomorphism(subst, src, dst):
         return False
-    xpows = [_linear_form_power(subst.x_image, i) for i in range(src.a)]
-    ypows = [_linear_form_power(subst.y_image, j) for j in range(src.b)]
+    fx, fy = subst.forms
+    xpows = [linear_power(fx, i) for i in range(src.a)]
+    ypows = [linear_power(fy, j) for j in range(src.b)]
     for d in range(src.top_degree + 1):
-        dim = betti(dst, d)
-        index = {mono: pos for pos, mono in enumerate(dst.basis(d))}
-        rows = []
-        for i, j in src.basis(d):
-            image = normal_form(xpows[i] * ypows[j], dst)
-            rows.append(sum(1 << index[mono] for mono in image.coeffs))
-        if _rank_bits(rows) != dim:
+        rows = [dst.reduce(clmul(xpows[i], ypows[j]), d) for i, j in src.basis(d)]
+        if _rank_bits(rows) != betti(dst, d):
             return False
     return True
 

@@ -73,3 +73,29 @@ def monomial_vector(i: int, d: int) -> list[int]:
     vec = [0] * (d + 1)
     vec[i] = 1
     return vec
+
+
+def product_terms(left, right) -> frozenset:
+    """Product of two polynomials given as sets of exponent pairs, term by term."""
+    acc: set = set()
+    for i1, j1 in left:
+        for i2, j2 in right:
+            acc ^= {(i1 + i2, j1 + j2)}
+    return frozenset(acc)
+
+
+def substitute_terms(terms, x_image, y_image) -> frozenset:
+    """Image of a polynomial under x -> x_image, y -> y_image, each a linear
+    form (cx, cy), by expanding every monomial as a product of linear forms."""
+
+    def form(coeffs):
+        cx, cy = coeffs
+        return frozenset([(1, 0)] * cx + [(0, 1)] * cy)
+
+    acc: set = set()
+    for i, j in terms:
+        image = frozenset([(0, 0)])
+        for factor in [form(x_image)] * i + [form(y_image)] * j:
+            image = product_terms(image, factor)
+        acc ^= image
+    return frozenset(acc)

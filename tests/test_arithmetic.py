@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from realbott import oracle
 from realbott.arithmetic import (
     ClassificationVerdict,
+    OracleDisagreement,
     classify,
     cohomology_criterion,
     counterexample_pair,
@@ -17,6 +19,7 @@ from realbott.arithmetic import (
     stable_iso,
 )
 from realbott.gf2poly import binom_mod2
+from realbott.oracle import IsoVerdict
 
 # golden values: the defining examples of both functions
 H_GOLDEN = {1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 3, 8: 3,
@@ -272,6 +275,12 @@ class TestClassify:
         v = classify(2, 2, 0, 1, with_oracle=True)
         assert not v.cohomology_isomorphic
         assert v.oracle_witness is None
+
+    def test_oracle_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "rings_isomorphic_bruteforce",
+                            lambda src, dst: IsoVerdict(False))
+        with pytest.raises(OracleDisagreement):
+            classify(2, 2, 0, 2, with_oracle=True)
 
     def test_verdict_consistency_enforced(self):
         with pytest.raises(ValueError):

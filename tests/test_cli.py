@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from realbott import cli
+from realbott.arithmetic import OracleDisagreement
 from realbott.cli import dumps_record, main
 
 EXPECTED_HEADER = (
@@ -108,7 +109,7 @@ class TestClassify:
 
     def test_oracle_disagreement_exits_one(self, runner, monkeypatch):
         def broken(*args, **kwargs):
-            raise RuntimeError("ring oracle disagrees")
+            raise OracleDisagreement("ring oracle disagrees")
 
         monkeypatch.setattr(cli, "classify_pair", broken)
         result = runner.invoke(
@@ -117,6 +118,30 @@ class TestClassify:
              "--q-prime", "1", "--oracle"],
         )
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("error", [RecursionError, RuntimeError, KeyError])
+    def test_internal_error_is_not_a_disagreement(self, runner, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error("internal failure")
+
+        monkeypatch.setattr(cli, "classify_pair", broken)
+        result = runner.invoke(
+            main,
+            ["classify", "--a", "2", "--b", "2", "--q", "0",
+             "--q-prime", "1", "--oracle"],
+        )
+        assert result.exit_code == 3
+
+    def test_large_a_oracle_has_no_recursion_limit(self, runner):
+        result = runner.invoke(
+            main,
+            ["classify", "--a", "700", "--b", "10", "--q", "1",
+             "--q-prime", "9", "--oracle", "--format", "jsonl"],
+        )
+        assert result.exit_code == 0, result.output
+        (record,) = records_of(result.output)
+        assert record["cohomology_isomorphic"] is True
+        assert record["witness"] == "x->x, y->x+y"
 
     def test_out_writes_file(self, runner, tmp_path):
         target = tmp_path / "record.csv"
@@ -237,6 +262,13 @@ class TestVerify:
     def test_malformed_only_usage_error(self, runner):
         result = runner.invoke(main, ["verify", "--only", "a=2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("only", ["a=0,b=3", "a=3,b=-1"])
+    def test_out_of_range_only_usage_error(self, runner, only):
+        result = runner.invoke(main, ["verify", "--only", only])
+        assert result.exit_code == 2
+        assert "bounds must be >= 1" in result.output
+        assert "checked" not in result.output
 
     def test_mismatch_exits_one(self, runner, monkeypatch):
         # force a wrong criterion to exercise the failure path

@@ -1,12 +1,11 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realbott.cohomology import (
     RingElement,
     RingPresentation,
     betti,
-    element,
     nonvanishing_check,
     normal_form,
     relation_polys,
@@ -153,26 +152,59 @@ class TestAgainstLinearAlgebra:
                 assert in_row_span_gf2(slice_rows, vec), (pres, d, i)
 
 
+@st.composite
+def wide_homogeneous_cases(draw):
+    """A presentation with a, b <= 40 and one homogeneous polynomial of a
+    degree up to a + b, past the top degree a + b - 2."""
+    a = draw(st.integers(1, 40))
+    b = draw(st.integers(1, 40))
+    q = draw(st.integers(0, b))
+    d = draw(st.integers(0, a + b))
+    mask = draw(st.integers(0, 2 ** (d + 1) - 1))
+    return RingPresentation(a, b, q), d, mask
+
+
+class TestAgainstLinearAlgebraPastSmallRings:
+    """The same dense reference as above on rings up to a, b <= 40, for
+    random homogeneous polynomials rather than single monomials."""
+
+    @settings(deadline=None)
+    @given(wide_homogeneous_cases())
+    def test_difference_lies_in_ideal_and_is_idempotent(self, case):
+        pres, d, mask = case
+        p = PolyGF2.from_masks([0] * d + [mask])
+        reduced = normal_form(p, pres)
+        assert normal_form(reduced.lift(), pres) == reduced
+        vec = [mask >> i & 1 for i in range(d + 1)]
+        for i, j in reduced.coeffs:
+            assert i + j == d
+            vec[i] ^= 1
+        slice_rows = ideal_degree_slice(pres.a, pres.b, pres.q, d)
+        assert in_row_span_gf2(slice_rows, vec)
+        rank = dense_rank_gf2(slice_rows) if slice_rows else 0
+        assert (d + 1) - rank == betti(pres, d)
+
+
 class TestElementArithmetic:
     def test_self_cancellation(self):
         pres = RingPresentation(3, 3, 1)
-        u = element(PolyGF2([(1, 1), (0, 2)]), pres)
+        u = normal_form(PolyGF2([(1, 1), (0, 2)]), pres)
         assert not (u + u)
 
     def test_nilpotent_generator(self):
         pres = RingPresentation(4, 2, 1)
-        x = element(mono(1, 0), pres)
-        x_top = element(mono(3, 0), pres)
+        x = normal_form(mono(1, 0), pres)
+        x_top = normal_form(mono(3, 0), pres)
         assert not (x * x_top)
 
     def test_y_squared_in_twisted_ring(self):
         pres = RingPresentation(2, 2, 1)
-        y = element(mono(0, 1), pres)
+        y = normal_form(mono(0, 1), pres)
         assert (y * y).coeffs == frozenset([(1, 1)])
 
     def test_incompatible_rings_rejected(self):
-        u = element(mono(0, 1), RingPresentation(2, 2, 1))
-        v = element(mono(0, 1), RingPresentation(2, 2, 0))
+        u = normal_form(mono(0, 1), RingPresentation(2, 2, 1))
+        v = normal_form(mono(0, 1), RingPresentation(2, 2, 0))
         with pytest.raises(ValueError):
             u + v
         with pytest.raises(ValueError):
@@ -196,7 +228,7 @@ class TestElementArithmetic:
         assert (u * v) * w == u * (v * w)
         assert u * v == v * u
         assert u * (v + w) == u * v + u * w
-        one = element(PolyGF2.one(), pres)
+        one = normal_form(PolyGF2.one(), pres)
         assert u * one == u
 
 
@@ -312,4 +344,4 @@ class TestTotalSWClass:
 
 def test_element_str():
     pres = RingPresentation(3, 3, 1)
-    assert str(element(PolyGF2([(0, 0), (1, 0), (1, 1)]), pres)) == "1 + x + x*y"
+    assert str(normal_form(PolyGF2([(0, 0), (1, 0), (1, 1)]), pres)) == "1 + x + x*y"

@@ -13,10 +13,11 @@ from realbott.gf2poly import (
     LinearSubstitution,
     PolyGF2,
     binom_mod2,
+    sierpinski_row,
     substitute_linear,
 )
 
-from _oracles import pascal_mod2_rows
+from _oracles import pascal_mod2_rows, product_terms, substitute_terms
 
 
 def poly(*terms):
@@ -27,6 +28,13 @@ polys = st.builds(
     PolyGF2,
     st.frozensets(
         st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=10
+    ),
+)
+# exponents past 60 make the degree pieces span several machine words
+wide_polys = st.builds(
+    PolyGF2,
+    st.frozensets(
+        st.tuples(st.integers(0, 80), st.integers(0, 80)), max_size=12
     ),
 )
 substitutions = st.builds(
@@ -82,6 +90,10 @@ class TestMul:
     def test_distributive(self, p, q, r):
         assert p * (q + r) == p * q + p * r
 
+    @given(wide_polys, wide_polys)
+    def test_matches_term_by_term_product(self, p, q):
+        assert (p * q).terms == product_terms(p.terms, q.terms)
+
 
 class TestPow:
     def test_power_zero_is_one(self):
@@ -136,6 +148,12 @@ class TestBinomMod2:
                 assert binom_mod2(n, m) == rows[n][m], (n, m)
 
 
+def test_sierpinski_row_matches_pascal_recurrence():
+    rows = pascal_mod2_rows(300)
+    for n, row in enumerate(rows):
+        assert sierpinski_row(n) == sum(bit << i for i, bit in enumerate(row)), n
+
+
 class TestSubstitution:
     def test_identity(self):
         p = poly((1, 1))
@@ -163,6 +181,12 @@ class TestSubstitution:
         assert substitute_linear(p + q, subst) == substitute_linear(
             p, subst
         ) + substitute_linear(q, subst)
+
+    @given(polys, substitutions)
+    def test_matches_expansion_into_linear_forms(self, p, subst):
+        assert substitute_linear(p, subst).terms == substitute_terms(
+            p.terms, subst.x_image, subst.y_image
+        )
 
     @given(polys, polys, substitutions)
     def test_multiplicative(self, p, q, subst):

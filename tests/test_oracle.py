@@ -1,5 +1,6 @@
 import pytest
 
+from realbott.arithmetic import cohomology_criterion
 from realbott.cohomology import RingPresentation
 from realbott.gf2poly import (
     COMPLEMENT_SUBSTITUTION,
@@ -140,3 +141,17 @@ class TestBruteForce:
                             assert is_graded_isomorphism(
                                 forward.witness, src, dst
                             )
+
+
+def test_agrees_with_criterion_past_the_acceptance_grid():
+    # the acceptance grid stops at a <= 6; a >= 10 is where h(a) < k(a)
+    cells = [(a, b) for a in range(7, 11) for b in range(1, 13)] + [(10, 17)]
+    mismatches = []
+    for a, b in cells:
+        for q in range(b + 1):
+            src = RingPresentation(a, b, q)
+            for q_prime in range(b + 1):
+                verdict = rings_isomorphic_bruteforce(src, RingPresentation(a, b, q_prime))
+                if verdict.isomorphic != cohomology_criterion(a, b, q, q_prime):
+                    mismatches.append((a, b, q, q_prime))
+    assert mismatches == []
