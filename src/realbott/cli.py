@@ -166,6 +166,11 @@ def classify(a, b, q, q_prime, oracle, fmt, out) -> None:
     emit_records([record_from_verdict(verdict)], fmt, out)
 
 
+def _check_bounds(a: int, b: int) -> None:
+    if a < 1 or b < 1:
+        raise click.UsageError(f"bounds must be >= 1, got a={a}, b={b}")
+
+
 @main.command()
 @click.option("--a", "a", required=True, type=int)
 @click.option("--b", "b", required=True, type=int)
@@ -173,17 +178,13 @@ def classify(a, b, q, q_prime, oracle, fmt, out) -> None:
 @out_option
 def table(a, b, fmt, out) -> None:
     """Classify every pair 0 <= q <= q' <= b for fixed (a, b)."""
+    _check_bounds(a, b)
     records = []
     for q in range(b + 1):
         for q_prime in range(q, b + 1):
             verdict = _validated_verdict(a, b, q, q_prime)
             records.append(record_from_verdict(verdict))
     emit_records(records, fmt, out)
-
-
-def _check_bounds(a: int, b: int) -> None:
-    if a < 1 or b < 1:
-        raise click.UsageError(f"bounds must be >= 1, got a={a}, b={b}")
 
 
 @main.command()
@@ -212,9 +213,12 @@ def counterexamples(a_max, b_max, fmt, out) -> None:
 
 def _parse_only(text: str) -> tuple[int, int]:
     try:
-        fields = dict(part.split("=", 1) for part in text.split(","))
-        a, b = int(fields["a"]), int(fields["b"])
-    except (ValueError, KeyError) as exc:
+        fields = [part.split("=", 1) for part in text.split(",")]
+        if sorted(key for key, _ in fields) != ["a", "b"]:
+            raise ValueError("the keys must be a and b, once each")
+        values = dict(fields)
+        a, b = int(values["a"]), int(values["b"])
+    except ValueError as exc:
         raise click.UsageError(f"--only expects 'a=<int>,b=<int>', got {text!r}") from exc
     _check_bounds(a, b)
     return a, b
@@ -239,12 +243,11 @@ def verify(a_max, b_max, only, extended, out) -> None:
     mismatches = 0
     for a, b in cells:
         cell_mismatches = 0
-        for q in range(b + 1):
-            src = RingPresentation(a, b, q)
-            for q_prime in range(b + 1):
-                verdict = rings_isomorphic_bruteforce(
-                    src, RingPresentation(a, b, q_prime)
-                )
+        # each ring serves as source and target, and keeps its target checks
+        rings = [RingPresentation(a, b, q) for q in range(b + 1)]
+        for q, src in enumerate(rings):
+            for q_prime, dst in enumerate(rings):
+                verdict = rings_isomorphic_bruteforce(src, dst)
                 cases += 1
                 if verdict.isomorphic != cohomology_criterion(a, b, q, q_prime):
                     cell_mismatches += 1

@@ -7,6 +7,13 @@ source relations into the target ideal, and is the induced map bijective
 in every degree?  Non-invertible matrices are not excluded up front: for
 degenerate presentations (a = 1 or b = 1) the generators are dependent in
 the quotient, and a singular substitution can still induce an isomorphism.
+
+Two of the three checks never read the source's q: x^a maps to L^a for L
+the image of x, and the span check maps the basis monomials x^i y^j
+(i < a, j < b), which depend on (a, b) alone.  Their verdicts are kept on
+the target ring, so a sweep over many sources with one target makes each
+of them once per substitution; only the second relation is tested for
+every pair.
 """
 
 from __future__ import annotations
@@ -55,18 +62,34 @@ def _check_same_shape(src: RingPresentation, dst: RingPresentation) -> None:
         )
 
 
+def _target_checks(dst: RingPresentation) -> dict:
+    """The substitutions that carry x^a into dst's ideal, in search order,
+    each mapped to its span verdict (None until the span check has run).
+
+    Made on first use and kept on dst; never empty once made, since 0^a
+    and x^a vanish in every ring.
+    """
+    checks = dst._target_checks
+    if not checks:
+        for subst in _SUBSTITUTIONS:
+            if not dst.reduce(linear_power(subst.forms[0], dst.a), dst.a):
+                checks[subst] = None
+    return checks
+
+
 def induces_homomorphism(
     subst: LinearSubstitution, src: RingPresentation, dst: RingPresentation
 ) -> bool:
     """True iff both source relations land in the target ideal.
 
     With x -> L1 and y -> L2 the relations x^a and (x+y)^q y^(b-q) map to
-    L1^a and (L1+L2)^q L2^(b-q), homogeneous of degrees a and b.
+    L1^a and (L1+L2)^q L2^(b-q), homogeneous of degrees a and b.  The
+    verdict on L1^a is read from the target's memo.
     """
     _check_same_shape(src, dst)
-    fx, fy = subst.forms
-    if dst.reduce(linear_power(fx, src.a), src.a):
+    if subst not in _target_checks(dst):
         return False
+    fx, fy = subst.forms
     image = clmul(linear_power(fx ^ fy, src.q), linear_power(fy, src.b - src.q))
     return not dst.reduce(image, src.b)
 
@@ -87,6 +110,18 @@ def _rank_bits(rows: list[int]) -> int:
     return rank
 
 
+def _spans_every_degree(subst: LinearSubstitution, dst: RingPresentation) -> bool:
+    """Whether the images of the basis monomials span every graded piece of dst."""
+    fx, fy = subst.forms
+    xpows = [linear_power(fx, i) for i in range(dst.a)]
+    ypows = [linear_power(fy, j) for j in range(dst.b)]
+    for d in range(dst.top_degree + 1):
+        rows = [dst.reduce(clmul(xpows[i], ypows[j]), d) for i, j in dst.basis(d)]
+        if _rank_bits(rows) != betti(dst, d):
+            return False
+    return True
+
+
 def is_graded_isomorphism(
     subst: LinearSubstitution, src: RingPresentation, dst: RingPresentation
 ) -> bool:
@@ -96,27 +131,30 @@ def is_graded_isomorphism(
     the images of the source basis monomials span the full target graded
     piece.  Equal Hilbert functions make full rank in every degree
     equivalent to bijectivity, but the rank is still computed rather than
-    assumed.
+    assumed.  The source basis depends on (a, b) alone, so the span
+    verdict is computed once per target and substitution and then reused.
     """
     _check_same_shape(src, dst)
     if not induces_homomorphism(subst, src, dst):
         return False
-    fx, fy = subst.forms
-    xpows = [linear_power(fx, i) for i in range(src.a)]
-    ypows = [linear_power(fy, j) for j in range(src.b)]
-    for d in range(src.top_degree + 1):
-        rows = [dst.reduce(clmul(xpows[i], ypows[j]), d) for i, j in src.basis(d)]
-        if _rank_bits(rows) != betti(dst, d):
-            return False
-    return True
+    checks = _target_checks(dst)
+    if checks[subst] is None:
+        checks[subst] = _spans_every_degree(subst, dst)
+    return checks[subst]
 
 
 def rings_isomorphic_bruteforce(
     src: RingPresentation, dst: RingPresentation
 ) -> IsoVerdict:
-    """Try all 16 substitutions; return the first working witness, if any."""
+    """Search the 16 substitutions in enumerate_substitutions() order and
+    return the first working witness, if any.
+
+    A substitution whose image of x^a misses the target ideal is rejected
+    by the target's memo; every other one gets the full homomorphism test
+    and, if that passes, the span check (memoized on the target).
+    """
     _check_same_shape(src, dst)
-    for subst in enumerate_substitutions():
+    for subst in _target_checks(dst):
         if is_graded_isomorphism(subst, src, dst):
             return IsoVerdict(True, subst)
     return IsoVerdict(False)

@@ -99,3 +99,60 @@ def substitute_terms(terms, x_image, y_image) -> frozenset:
             image = product_terms(image, factor)
         acc ^= image
     return frozenset(acc)
+
+
+LINEAR_FORMS = ((0, 0), (0, 1), (1, 0), (1, 1))  # 0, y, x, x+y as (cx, cy)
+
+
+def _degree_vector(terms, d: int) -> list[int]:
+    """A homogeneous degree-d polynomial, given as exponent pairs, in
+    ambient coordinates (x^i y^(d-i) at index i)."""
+    vec = [0] * (d + 1)
+    for i, _ in terms:
+        vec[i] ^= 1
+    return vec
+
+
+def reference_isomorphism(a: int, b: int, q: int, q_prime: int):
+    """First substitution (x_image, y_image), x_image the outer loop over
+    LINEAR_FORMS, that induces a graded ring isomorphism from
+    Z/2[x,y]/(x^a, (x+y)^q y^(b-q)) onto the same ring at q_prime; None
+    if there is none.
+
+    The homomorphism condition asks that both relations map into the
+    target ideal, tested as membership in its degree slice; bijectivity
+    asks, in every degree, that the images of the source basis monomials
+    be independent modulo the target ideal and, with it, span the whole
+    degree.  Every step is a dense rank over term-by-term expansions.
+    """
+    binom = pascal_mod2_rows(max(q, 1))[q]
+    relations = (
+        (a, {(a, 0)}),
+        (b, {(i, b - i) for i in range(q + 1) if binom[i]}),
+    )
+    slices = {
+        d: ideal_degree_slice(a, b, q_prime, d) for d in {*range(a + b - 1), a, b}
+    }
+    for x_image in LINEAR_FORMS:
+        for y_image in LINEAR_FORMS:
+            if not all(
+                in_row_span_gf2(
+                    slices[d],
+                    _degree_vector(substitute_terms(terms, x_image, y_image), d),
+                )
+                for d, terms in relations
+            ):
+                continue
+            for d in range(a + b - 1):
+                images = [
+                    _degree_vector(substitute_terms({(i, d - i)}, x_image, y_image), d)
+                    for i in range(a)
+                    if 0 <= d - i < b
+                ]
+                ideal_rank = dense_rank_gf2(slices[d])
+                full_rank = dense_rank_gf2(slices[d] + images)
+                if full_rank != ideal_rank + len(images) or full_rank != d + 1:
+                    break
+            else:
+                return x_image, y_image
+    return None

@@ -191,6 +191,17 @@ class TestTable:
         records = json.loads(result.output)
         assert isinstance(records, list) and len(records) == 6
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--a", "0", "--b", "-1"], ["--a", "5", "--b", "-1", "--format", "csv"]],
+    )
+    def test_out_of_range_usage_error(self, runner, args):
+        # an empty q range used to print a bare header and exit 0
+        result = runner.invoke(main, ["table", *args])
+        assert result.exit_code == 2
+        assert "bounds must be >= 1" in result.output
+        assert EXPECTED_HEADER not in result.output
+
 
 class TestCounterexamples:
     def test_single_cell_in_range(self, runner):
@@ -262,6 +273,20 @@ class TestVerify:
     def test_malformed_only_usage_error(self, runner):
         result = runner.invoke(main, ["verify", "--only", "a=2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "only", ["a=2,b=3,a=1", "a=2,b=3,c=9", "a=2,b=3,b=3"]
+    )
+    def test_unknown_or_repeated_only_key_usage_error(self, runner, only):
+        result = runner.invoke(main, ["verify", "--only", only])
+        assert result.exit_code == 2
+        assert "--only expects" in result.output
+        assert "checked" not in result.output
+
+    def test_only_keys_in_any_order(self, runner):
+        result = runner.invoke(main, ["verify", "--only", "b=3,a=2"])
+        assert result.exit_code == 0
+        assert "a=2 b=3: 16 pairs, 0 mismatches" in result.output
 
     @pytest.mark.parametrize("only", ["a=0,b=3", "a=3,b=-1"])
     def test_out_of_range_only_usage_error(self, runner, only):

@@ -1,6 +1,7 @@
 import pytest
 
-from realbott.arithmetic import cohomology_criterion
+from _oracles import reference_isomorphism
+from realbott.arithmetic import cohomology_criterion, diffeo_criterion
 from realbott.cohomology import RingPresentation
 from realbott.gf2poly import (
     COMPLEMENT_SUBSTITUTION,
@@ -141,6 +142,60 @@ class TestBruteForce:
                             assert is_graded_isomorphism(
                                 forward.witness, src, dst
                             )
+
+
+class TestAgainstReferenceSearch:
+    @pytest.mark.parametrize("a", range(1, 6))
+    @pytest.mark.parametrize("b", range(1, 6))
+    def test_same_verdict_and_first_witness(self, a, b):
+        # includes the degenerate rows a = 1 and b = 1
+        for q in range(b + 1):
+            for q_prime in range(b + 1):
+                verdict = rings_isomorphic_bruteforce(
+                    RingPresentation(a, b, q), RingPresentation(a, b, q_prime)
+                )
+                witness = verdict.witness and (
+                    verdict.witness.x_image, verdict.witness.y_image
+                )
+                assert witness == reference_isomorphism(a, b, q, q_prime), (q, q_prime)
+
+    @pytest.mark.parametrize("a, b", [(1, 6), (6, 1), (4, 7), (10, 17)])
+    def test_shared_presentations_match_fresh_ones(self, a, b):
+        # every ring is a target many times, in both sweep orders, so its
+        # memoized checks are reused; fresh rings recompute them per pair
+        rings = [RingPresentation(a, b, q) for q in range(b + 1)]
+        for sweep in (rings, rings[::-1]):
+            for dst in sweep:
+                for src in sweep:
+                    fresh = rings_isomorphic_bruteforce(
+                        RingPresentation(a, b, src.q), RingPresentation(a, b, dst.q)
+                    )
+                    assert rings_isomorphic_bruteforce(src, dst) == fresh, (src, dst)
+                    for subst in enumerate_substitutions():
+                        assert is_graded_isomorphism(subst, src, dst) == (
+                            is_graded_isomorphism(
+                                subst,
+                                RingPresentation(a, b, src.q),
+                                RingPresentation(a, b, dst.q),
+                            )
+                        ), (subst, src, dst)
+
+
+def test_agrees_with_criterion_where_rigidity_fails():
+    # 10 <= a <= 12 has h(a) < k(a), and b >= 17 > 2^h(a): the paper's regime
+    mismatches, counterexamples = [], 0
+    for a in range(10, 13):
+        for b in range(17, 25):
+            rings = [RingPresentation(a, b, q) for q in range(b + 1)]
+            for src in rings:
+                for dst in rings:
+                    verdict = rings_isomorphic_bruteforce(src, dst)
+                    if verdict.isomorphic != cohomology_criterion(a, b, src.q, dst.q):
+                        mismatches.append((a, b, src.q, dst.q))
+                    elif verdict.isomorphic and not diffeo_criterion(a, b, src.q, dst.q):
+                        counterexamples += 1
+    assert mismatches == []
+    assert counterexamples > 0
 
 
 def test_agrees_with_criterion_past_the_acceptance_grid():
