@@ -4,7 +4,6 @@ projectivized sums of real line bundles over real projective space."""
 from .arithmetic import (
     ClassificationVerdict,
     OracleDisagreement,
-    StableKOClass,
     classify,
     cohomology_criterion,
     counterexample_pair,
@@ -14,8 +13,6 @@ from .arithmetic import (
     k_of,
     binomial_rows_match,
     rigidity_holds,
-    stable_class,
-    stable_iso,
 )
 from .cohomology import (
     RingElement,
@@ -73,9 +70,6 @@ __all__ = [
     "rigidity_holds",
     "counterexample_pair",
     "binomial_rows_match",
-    "StableKOClass",
-    "stable_class",
-    "stable_iso",
     "ClassificationVerdict",
     "OracleDisagreement",
     "classify",

@@ -25,9 +25,6 @@ __all__ = [
     "rigidity_holds",
     "counterexample_pair",
     "binomial_rows_match",
-    "StableKOClass",
-    "stable_class",
-    "stable_iso",
     "ClassificationVerdict",
     "OracleDisagreement",
     "classify",
@@ -134,42 +131,6 @@ def binomial_rows_match(a: int, q: int, q_prime: int) -> bool:
         if left != right:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class StableKOClass:
-    """Stable class of q*gamma + r*1 in KO of RP^(a-1): the gamma
-    multiplicity modulo 2^k(a), together with the total rank."""
-
-    a: int
-    gamma_mult: int
-    rank: int
-
-    def __post_init__(self):
-        _check_a(self.a)
-        modulus = 2 ** k_of(self.a)
-        if not 0 <= self.gamma_mult < modulus:
-            raise ValueError(
-                f"gamma_mult must be reduced modulo 2^k({self.a}) = {modulus}"
-            )
-        if self.rank < 0:
-            raise ValueError("rank must be non-negative")
-
-
-def stable_class(a: int, q: int, rank: int) -> StableKOClass:
-    """The class of q*gamma + (rank - q)*1, with q reduced mod 2^k(a).
-
-    2^k(a)*gamma is stably trivial, so only the residue of q survives.
-    """
-    _check_a(a)
-    return StableKOClass(a, q % 2 ** k_of(a), rank)
-
-
-def stable_iso(c1: StableKOClass, c2: StableKOClass) -> bool:
-    """Stable isomorphism: same base, same rank, same gamma residue."""
-    if c1.a != c2.a:
-        raise ValueError(f"classes live over different bases: a={c1.a} vs a={c2.a}")
-    return c1.rank == c2.rank and c1.gamma_mult == c2.gamma_mult
 
 
 @dataclass

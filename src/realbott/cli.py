@@ -243,7 +243,7 @@ def verify(a_max, b_max, only, extended, out) -> None:
     mismatches = 0
     for a, b in cells:
         cell_mismatches = 0
-        # each ring serves as source and target, and keeps its target checks
+        # each ring serves as source and target, so it is built once per cell
         rings = [RingPresentation(a, b, q) for q in range(b + 1)]
         for q, src in enumerate(rings):
             for q_prime, dst in enumerate(rings):

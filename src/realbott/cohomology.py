@@ -40,9 +40,6 @@ class RingPresentation:
     # masks of the x-exponents below a, and of the second relation cut to them
     _below_a: int = field(init=False, repr=False, compare=False)
     _rel2: int = field(init=False, repr=False, compare=False)
-    # the oracle's checks that involve this ring only as the target: filled
-    # by realbott.oracle on first use, freed with the ring
-    _target_checks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a < 1:
@@ -54,7 +51,6 @@ class RingPresentation:
         below_a = (1 << self.a) - 1
         object.__setattr__(self, "_below_a", below_a)
         object.__setattr__(self, "_rel2", sierpinski_row(self.q) & below_a)
-        object.__setattr__(self, "_target_checks", {})
 
     @property
     def dimension(self) -> int:

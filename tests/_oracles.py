@@ -113,11 +113,12 @@ def _degree_vector(terms, d: int) -> list[int]:
     return vec
 
 
-def reference_isomorphism(a: int, b: int, q: int, q_prime: int):
-    """First substitution (x_image, y_image), x_image the outer loop over
-    LINEAR_FORMS, that induces a graded ring isomorphism from
-    Z/2[x,y]/(x^a, (x+y)^q y^(b-q)) onto the same ring at q_prime; None
-    if there is none.
+def reference_graded_isomorphism(
+    a: int, b: int, q: int, q_prime: int, x_image, y_image
+) -> bool:
+    """Whether x -> x_image, y -> y_image, each a linear form (cx, cy),
+    induces a graded ring isomorphism from Z/2[x,y]/(x^a, (x+y)^q y^(b-q))
+    onto the same ring at q_prime.
 
     The homomorphism condition asks that both relations map into the
     target ideal, tested as membership in its degree slice; bijectivity
@@ -133,26 +134,32 @@ def reference_isomorphism(a: int, b: int, q: int, q_prime: int):
     slices = {
         d: ideal_degree_slice(a, b, q_prime, d) for d in {*range(a + b - 1), a, b}
     }
+    if not all(
+        in_row_span_gf2(
+            slices[d], _degree_vector(substitute_terms(terms, x_image, y_image), d)
+        )
+        for d, terms in relations
+    ):
+        return False
+    for d in range(a + b - 1):
+        images = [
+            _degree_vector(substitute_terms({(i, d - i)}, x_image, y_image), d)
+            for i in range(a)
+            if 0 <= d - i < b
+        ]
+        ideal_rank = dense_rank_gf2(slices[d])
+        full_rank = dense_rank_gf2(slices[d] + images)
+        if full_rank != ideal_rank + len(images) or full_rank != d + 1:
+            return False
+    return True
+
+
+def reference_isomorphism(a: int, b: int, q: int, q_prime: int):
+    """First substitution (x_image, y_image), x_image the outer loop over
+    LINEAR_FORMS, for which reference_graded_isomorphism holds; None if
+    there is none."""
     for x_image in LINEAR_FORMS:
         for y_image in LINEAR_FORMS:
-            if not all(
-                in_row_span_gf2(
-                    slices[d],
-                    _degree_vector(substitute_terms(terms, x_image, y_image), d),
-                )
-                for d, terms in relations
-            ):
-                continue
-            for d in range(a + b - 1):
-                images = [
-                    _degree_vector(substitute_terms({(i, d - i)}, x_image, y_image), d)
-                    for i in range(a)
-                    if 0 <= d - i < b
-                ]
-                ideal_rank = dense_rank_gf2(slices[d])
-                full_rank = dense_rank_gf2(slices[d] + images)
-                if full_rank != ideal_rank + len(images) or full_rank != d + 1:
-                    break
-            else:
+            if reference_graded_isomorphism(a, b, q, q_prime, x_image, y_image):
                 return x_image, y_image
     return None

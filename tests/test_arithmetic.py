@@ -15,8 +15,6 @@ from realbott.arithmetic import (
     k_of,
     binomial_rows_match,
     rigidity_holds,
-    stable_class,
-    stable_iso,
 )
 from realbott.gf2poly import binom_mod2
 from realbott.oracle import IsoVerdict
@@ -97,6 +95,14 @@ class TestDiffeoCriterion:
 
     def test_mod_two_case(self):
         assert diffeo_criterion(2, 5, 1, 3)
+
+    def test_shift_by_period_is_diffeomorphic(self):
+        # 2^k(a) * gamma is stably trivial over RP^(a-1); b = 2^k(a) + 1
+        # keeps q' = 0 and q' = 2^k(a) off the complement b - q = b
+        for a in range(1, 20):
+            period = 2 ** k_of(a)
+            for q_prime in (0, period):
+                assert diffeo_criterion(a, period + 1, 0, q_prime), (a, q_prime)
 
 
 class TestHomotopyCriterion:
@@ -222,35 +228,6 @@ class TestBinomialRowsMatch:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             binomial_rows_match(3, -1, 0)
-
-
-class TestStableClasses:
-    def test_headline_not_stably_isomorphic(self):
-        c1 = stable_class(10, 0, 17)
-        c2 = stable_class(10, 16, 17)
-        assert not stable_iso(c1, c2)
-
-    def test_reflexive(self):
-        c = stable_class(6, 3, 9)
-        assert stable_iso(c, c)
-
-    def test_full_period_collapses(self):
-        assert stable_iso(stable_class(2, 2, 2), stable_class(2, 0, 2))
-
-    def test_gamma_multiple_of_period_is_trivial(self):
-        for a in range(1, 20):
-            period = 2 ** k_of(a)
-            assert stable_iso(
-                stable_class(a, period, period), stable_class(a, 0, period)
-            )
-
-    def test_residue_stored_reduced(self):
-        cls = stable_class(3, 17, 20)
-        assert cls.gamma_mult == 17 % 4
-
-    def test_mismatched_bases_rejected(self):
-        with pytest.raises(ValueError):
-            stable_iso(stable_class(2, 0, 3), stable_class(3, 0, 3))
 
 
 class TestClassify:

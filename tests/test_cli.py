@@ -132,11 +132,16 @@ class TestClassify:
         )
         assert result.exit_code == 3
 
-    def test_large_a_oracle_has_no_recursion_limit(self, runner):
+    @pytest.mark.parametrize(
+        "a, b, q, q_prime",
+        [(700, 10, 1, 9), (600, 601, 0, 601)],
+        ids=["a700-b10", "a600-b601"],
+    )
+    def test_large_a_oracle_has_no_recursion_limit(self, runner, a, b, q, q_prime):
         result = runner.invoke(
             main,
-            ["classify", "--a", "700", "--b", "10", "--q", "1",
-             "--q-prime", "9", "--oracle", "--format", "jsonl"],
+            ["classify", "--a", str(a), "--b", str(b), "--q", str(q),
+             "--q-prime", str(q_prime), "--oracle", "--format", "jsonl"],
         )
         assert result.exit_code == 0, result.output
         (record,) = records_of(result.output)

@@ -1,6 +1,6 @@
 import pytest
 
-from _oracles import reference_isomorphism
+from _oracles import reference_graded_isomorphism, reference_isomorphism
 from realbott.arithmetic import cohomology_criterion, diffeo_criterion
 from realbott.cohomology import RingPresentation
 from realbott.gf2poly import (
@@ -159,10 +159,26 @@ class TestAgainstReferenceSearch:
                 )
                 assert witness == reference_isomorphism(a, b, q, q_prime), (q, q_prime)
 
+    @pytest.mark.parametrize("a", range(1, 6))
+    @pytest.mark.parametrize("b", range(1, 6))
+    def test_degree_one_span_decides_bijectivity(self, a, b):
+        # the degree-1 lemma against the all-degree reference, substitution
+        # by substitution, the degenerate rows a = 1 and b = 1 included
+        for q in range(b + 1):
+            src = RingPresentation(a, b, q)
+            for q_prime in range(b + 1):
+                dst = RingPresentation(a, b, q_prime)
+                for subst in enumerate_substitutions():
+                    assert is_graded_isomorphism(subst, src, dst) == (
+                        reference_graded_isomorphism(
+                            a, b, q, q_prime, subst.x_image, subst.y_image
+                        )
+                    ), (q, q_prime, subst)
+
     @pytest.mark.parametrize("a, b", [(1, 6), (6, 1), (4, 7), (10, 17)])
     def test_shared_presentations_match_fresh_ones(self, a, b):
-        # every ring is a target many times, in both sweep orders, so its
-        # memoized checks are reused; fresh rings recompute them per pair
+        # every ring is a source and a target many times, in both sweep
+        # orders, as in verify; the verdicts must not depend on that reuse
         rings = [RingPresentation(a, b, q) for q in range(b + 1)]
         for sweep in (rings, rings[::-1]):
             for dst in sweep:
