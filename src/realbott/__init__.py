@@ -5,6 +5,7 @@ from .arithmetic import (
     ClassificationVerdict,
     OracleDisagreement,
     classify,
+    classify_row,
     cohomology_criterion,
     counterexample_pair,
     diffeo_criterion,
@@ -73,4 +74,5 @@ __all__ = [
     "ClassificationVerdict",
     "OracleDisagreement",
     "classify",
+    "classify_row",
 ]

@@ -28,6 +28,7 @@ __all__ = [
     "ClassificationVerdict",
     "OracleDisagreement",
     "classify",
+    "classify_row",
 ]
 
 
@@ -102,16 +103,18 @@ def counterexample_pair(a: int, b: int) -> Optional[tuple[int, int]]:
     """A pair (q, q') with isomorphic rings but non-diffeomorphic manifolds.
 
     Returns None when rigidity holds.  Otherwise (1, 2^h(a) + 1) when
-    2^h(a) divides b, else (0, 2^h(a)); the construction is asserted to
-    satisfy both defining conditions before being returned.
+    2^h(a) divides b, else (0, 2^h(a)); the construction is checked against
+    both defining conditions before being returned, and a pair that fails
+    them raises RuntimeError (an explicit check, so it holds under
+    `python -O` too).
     """
     if rigidity_holds(a, b):
         return None
     m = 2 ** h_of(a)
     pair = (1, m + 1) if b % m == 0 else (0, m)
     q, q_prime = pair
-    assert cohomology_criterion(a, b, q, q_prime)
-    assert not diffeo_criterion(a, b, q, q_prime)
+    if not cohomology_criterion(a, b, q, q_prime) or diffeo_criterion(a, b, q, q_prime):
+        raise RuntimeError(f"constructed pair {pair} is not a counterexample for (a={a}, b={b})")
     return pair
 
 
@@ -201,3 +204,30 @@ def classify(
             )
         verdict.oracle_witness = result.witness
     return verdict
+
+
+def classify_row(a: int, b: int, q: int) -> list[ClassificationVerdict]:
+    """classify(a, b, q, q') for every q <= q' <= b, in that order.
+
+    (a, b, q) is checked, and h(a), k(a) and both moduli are computed, once
+    for the row; each pair is still decided by the criteria's congruence and
+    checked by its own ClassificationVerdict.
+    """
+    _check_pair_ranges(a, b, q, q)
+    h, k = h_of(a), k_of(a)
+    cohomology_modulus, diffeo_modulus = 2 ** h, 2 ** k
+    row = []
+    for q_prime in range(q, b + 1):
+        diffeo = _congruent_to_q_or_complement(b, q, q_prime, diffeo_modulus)
+        row.append(ClassificationVerdict(
+            a=a,
+            b=b,
+            q=q,
+            q_prime=q_prime,
+            h=h,
+            k=k,
+            cohomology_isomorphic=_congruent_to_q_or_complement(b, q, q_prime, cohomology_modulus),
+            diffeomorphic=diffeo,
+            homotopy_equivalent=diffeo,
+        ))
+    return row

@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from realbott import oracle
+from realbott import arithmetic, oracle
 from realbott.arithmetic import (
     ClassificationVerdict,
     OracleDisagreement,
     classify,
+    classify_row,
     cohomology_criterion,
     counterexample_pair,
     diffeo_criterion,
@@ -195,6 +201,35 @@ class TestCounterexamplePair:
                 assert cohomology_criterion(a, b, q, q_prime)
                 assert not diffeo_criterion(a, b, q, q_prime)
 
+    @pytest.mark.parametrize("criterion, broken", [
+        ("cohomology_criterion", lambda *args: False),
+        ("diffeo_criterion", lambda *args: True),
+    ])
+    def test_broken_criterion_raises(self, monkeypatch, criterion, broken):
+        monkeypatch.setattr(arithmetic, criterion, broken)
+        with pytest.raises(RuntimeError, match="not a counterexample"):
+            counterexample_pair(10, 17)
+
+    def test_guard_survives_stripped_asserts(self):
+        # under python -O an assert-only guard would return (0, 16) unchecked
+        script = (
+            "import sys\n"
+            "from realbott import arithmetic\n"
+            "assert False, 'asserts must be stripped'\n"
+            "arithmetic.cohomology_criterion = lambda *args: False\n"
+            "try:\n"
+            "    pair = arithmetic.counterexample_pair(10, 17)\n"
+            "except RuntimeError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(f'returned {pair} unchecked')\n"
+        )
+        src = str(Path(arithmetic.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-O", "-c", script],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
 
 class TestBinomialRowsMatch:
     def test_equal_q_trivially_true(self):
@@ -280,3 +315,27 @@ class TestClassify:
             classify(0, 2, 0, 1)
         with pytest.raises(ValueError):
             classify(2, 2, 0, 5)
+
+
+class TestClassifyRow:
+    @pytest.mark.parametrize("a", range(1, 21))
+    def test_matches_classify_pair_by_pair(self, a):
+        for b in range(1, 41):
+            for q in range(b + 1):
+                expected = [classify(a, b, q, q_prime) for q_prime in range(q, b + 1)]
+                assert classify_row(a, b, q) == expected
+
+    @pytest.mark.parametrize("a, b, q, q_prime", [(0, 5, 0, 0), (5, 0, 0, 0), (5, 5, -1, 0), (5, 5, 6, 5)])
+    def test_range_validation(self, a, b, q, q_prime):
+        with pytest.raises(ValueError):
+            classify(a, b, q, q_prime)
+        with pytest.raises(ValueError):
+            classify_row(a, b, q)
+
+    def test_every_verdict_is_checked(self, monkeypatch):
+        checked = []
+        original = ClassificationVerdict.__post_init__
+        monkeypatch.setattr(ClassificationVerdict, "__post_init__",
+                            lambda self: checked.append(self) or original(self))
+        row = classify_row(10, 17, 3)
+        assert len(row) == 15 and checked == row

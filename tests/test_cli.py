@@ -1,11 +1,14 @@
+import io
 import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from realbott import cli
-from realbott.arithmetic import OracleDisagreement
-from realbott.cli import dumps_record, main
+from realbott import arithmetic, cli
+from realbott.arithmetic import OracleDisagreement, classify
+from realbott.cli import FORMATS, SCHEMA, dumps_record, emit_records, main, record_from_verdict
 
 EXPECTED_HEADER = (
     "a,b,q,q_prime,h,k,cohomology_isomorphic,diffeomorphic,homotopy_equivalent"
@@ -159,7 +162,60 @@ class TestClassify:
         assert target.read_text().splitlines()[0] == EXPECTED_HEADER
 
 
+BOOLEAN_FIELDS = ("cohomology_isomorphic", "diffeomorphic", "homotopy_equivalent")
+
+# 0 and 1 often (1 == True, the trap of a dict-based boolean encoder), and ints far beyond 64 bits
+schema_ints = st.one_of(
+    st.sampled_from([0, 1]),
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=2**64, max_value=2**256),
+)
+witness_text = st.text(st.one_of(st.sampled_from('"\\\u00e9\u2192\n'), st.characters()))
+
+
+@st.composite
+def schema_records(draw):
+    record = {
+        key: draw(st.booleans() if key in BOOLEAN_FIELDS else schema_ints)
+        for key in SCHEMA
+    }
+    witness = draw(st.none() | witness_text)
+    if witness is not None:
+        record["witness"] = witness
+    return record
+
+
+class TestDumpsRecord:
+    @given(schema_records())
+    @example(dict(zip(SCHEMA, (1, 1, 1, 0, 1, 0, True, False, False))))
+    @example(dict(zip(SCHEMA, (10, 17, 0, 16, 4, 5, True, False, False)),
+                  witness='x->"x" \\ y->x+y \u00e9\u2192'))
+    def test_matches_json_dumps(self, record):
+        assert dumps_record(record) == json.dumps(record)
+
+
+def per_pair_table_records(a: int, b: int) -> list[dict]:
+    """table's records built the old way: one classify call per pair."""
+    return [
+        record_from_verdict(classify(a, b, q, q_prime))
+        for q in range(b + 1)
+        for q_prime in range(q, b + 1)
+    ]
+
+
 class TestTable:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("a, b", [(1, 1), (2, 2), (10, 17), (9, 100), (64, 65)])
+    def test_matches_per_pair_records(self, runner, a, b, fmt):
+        records = per_pair_table_records(a, b)
+        expected = io.StringIO()
+        emit_records(records, fmt, expected)
+        result = runner.invoke(main, ["table", "--a", str(a), "--b", str(b), "--format", fmt])
+        assert result.exit_code == 0
+        assert result.output == expected.getvalue()
+        if fmt == "jsonl":
+            assert result.output == "".join(json.dumps(r) + "\n" for r in records)
+
     def test_pair_count_and_order(self, runner):
         result = runner.invoke(
             main, ["table", "--a", "2", "--b", "2", "--format", "jsonl"]
@@ -247,6 +303,11 @@ class TestCounterexamples:
     def test_bad_bounds_usage_error(self, runner):
         result = runner.invoke(main, ["counterexamples", "--a-max", "0", "--b-max", "5"])
         assert result.exit_code == 2
+
+    def test_broken_construction_is_internal_error(self, runner, monkeypatch):
+        monkeypatch.setattr(arithmetic, "diffeo_criterion", lambda *args: True)
+        result = runner.invoke(main, ["counterexamples", "--a-max", "10", "--b-max", "17"])
+        assert result.exit_code == 3
 
 
 class TestVerify:
