@@ -35,6 +35,7 @@ from .gf2poly import (
 )
 from .oracle import (
     IsoVerdict,
+    cell_isomorphisms,
     enumerate_substitutions,
     induces_homomorphism,
     is_graded_isomorphism,
@@ -59,6 +60,7 @@ __all__ = [
     "betti",
     "total_sw_class",
     "IsoVerdict",
+    "cell_isomorphisms",
     "enumerate_substitutions",
     "induces_homomorphism",
     "is_graded_isomorphism",

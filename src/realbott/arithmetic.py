@@ -152,13 +152,14 @@ class ClassificationVerdict:
     oracle_witness: Optional[LinearSubstitution] = None
 
     def __post_init__(self):
+        # an inconsistent verdict is a fault of the criteria, not bad input
         if self.diffeomorphic and not self.cohomology_isomorphic:
-            raise ValueError(
+            raise RuntimeError(
                 "diffeomorphic pairs always have isomorphic cohomology "
                 "(h(a) <= k(a)); refusing an inconsistent verdict"
             )
         if self.homotopy_equivalent != self.diffeomorphic:
-            raise ValueError("homotopy equivalence must coincide with diffeomorphism")
+            raise RuntimeError("homotopy equivalence must coincide with diffeomorphism")
 
 
 class OracleDisagreement(RuntimeError):

@@ -23,7 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gf2poly import PolyGF2, clmul, format_terms, linear_power, sierpinski_row
+from .gf2poly import (
+    COMPLEMENT_SUBSTITUTION,
+    PolyGF2,
+    clmul,
+    format_terms,
+    linear_power,
+    sierpinski_row,
+    substitute_linear,
+)
 
 
 @dataclass(frozen=True)
@@ -170,3 +178,34 @@ def total_sw_class(pres: RingPresentation) -> RingElement:
                     pieces[d] ^= clmul(pieces[d - e], power) & pres._below_a
             e <<= 1
     return normal_form(PolyGF2.from_masks(pieces), pres)
+
+
+def nonvanishing_failures(a_max: int, b_max: int) -> list[tuple[int, int, int]]:
+    """The (a, b, q) with a <= a_max, b <= b_max and 0 < q < b at which
+    nonvanishing_check fails; empty when y^a and (x+y)^a are nonzero."""
+    return [
+        (a, b, q)
+        for a in range(1, a_max + 1)
+        for b in range(1, b_max + 1)
+        for q in range(1, b)
+        if nonvanishing_check(RingPresentation(a, b, q)) != (True, True)
+    ]
+
+
+def sw_swap_failures(a_max: int, b_max: int) -> list[tuple[int, int, int]]:
+    """The (a, b, q) with a <= a_max, b <= b_max and 0 <= q <= b at which the
+    complement substitution y -> x + y does not carry w(M(q)) to w(M(b - q)).
+
+    Each total_sw_class is computed once and compared twice, as source and
+    as target.
+    """
+    bad = []
+    for a in range(1, a_max + 1):
+        for b in range(1, b_max + 1):
+            classes = [total_sw_class(RingPresentation(a, b, q)) for q in range(b + 1)]
+            for q, cls in enumerate(classes):
+                swapped = classes[b - q]
+                carried = substitute_linear(cls.lift(), COMPLEMENT_SUBSTITUTION)
+                if normal_form(carried, swapped.pres) != swapped:
+                    bad.append((a, b, q))
+    return bad

@@ -17,6 +17,24 @@ a substitution is a graded isomorphism iff it induces a homomorphism and
 the reduced degree-1 images of L1 and L2 have rank betti(dst, 1).  This
 holds for every (a, b), the degenerate rows included; the test suite
 checks it against an independent all-degree rank test.
+
+Classes (one (a, b) cell from few searches).  Graded isomorphism is an
+equivalence relation, so cell_isomorphisms walks q = 0..b and searches
+ring q only against the class representatives found so far: on the first
+witness rep -> q it joins that class, and if every representative gives
+an exhaustive "no" it becomes a representative itself.  Every pair's
+verdict then follows, and stays proven:
+  - same class: with witnesses w, w' from the representative to q and q',
+    the map w' after w^-1 is an isomorphism q -> q'; it is composed and
+    checked with is_graded_isomorphism, and a failed check is an internal
+    fault (RuntimeError), never a verdict;
+  - different classes: an isomorphism q -> q' composed with the checked
+    witnesses would be one between the two representatives, which the
+    later of them was exhaustively searched against and had none.
+Inverting a witness needs it invertible.  For a, b >= 2 the degree-1 piece
+has dimension 2, so by the lemma every witness is in GL2(F2).  On the rows
+a = 1 and b = 1 a singular substitution can be an isomorphism, and there
+every pair is searched.
 """
 
 from __future__ import annotations
@@ -25,10 +43,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cohomology import RingPresentation, betti
-from .gf2poly import LinearSubstitution, clmul, linear_power
+from .gf2poly import IDENTITY_SUBSTITUTION, LinearSubstitution, clmul, linear_power
 
 __all__ = [
     "IsoVerdict",
+    "cell_isomorphisms",
     "enumerate_substitutions",
     "induces_homomorphism",
     "is_graded_isomorphism",
@@ -50,6 +69,18 @@ class IsoVerdict:
 
 _FORMS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _SUBSTITUTIONS = tuple(LinearSubstitution(fx, fy) for fx in _FORMS for fy in _FORMS)
+_BY_FORMS = {subst.forms: subst for subst in _SUBSTITUTIONS}
+# A fixed table: each substitution's adjugate matrix, which over GF(2) is the
+# inverse of each of the six in GL2(F2).  A singular witness on a, b >= 2 can
+# only come from a faulty is_graded_isomorphism; its adjugate lets the sweep
+# go on, so that the fault shows as verdicts the criterion contradicts, and
+# every composed map is still checked.
+_ADJUGATE = {
+    subst: LinearSubstitution((subst.y_image[1], subst.x_image[1]),
+                              (subst.y_image[0], subst.x_image[0]))
+    for subst in _SUBSTITUTIONS
+}
+_NOT_ISOMORPHIC = IsoVerdict(False)
 
 
 def enumerate_substitutions() -> list[LinearSubstitution]:
@@ -123,3 +154,56 @@ def rings_isomorphic_bruteforce(
         if is_graded_isomorphism(subst, src, dst):
             return IsoVerdict(True, subst)
     return IsoVerdict(False)
+
+
+def _compose(outer: LinearSubstitution, inner: LinearSubstitution) -> LinearSubstitution:
+    """The substitution of outer after inner: x -> outer(inner(x)), likewise y."""
+    fx, fy = outer.forms
+    return _BY_FORMS[tuple(
+        (fx if form & 0b10 else 0) ^ (fy if form & 0b01 else 0) for form in inner.forms
+    )]
+
+
+def cell_isomorphisms(a: int, b: int) -> list[list[IsoVerdict]]:
+    """The verdict for every pair of the cell: entry [q][q'] for M(q), M(q').
+
+    Searches each ring only against the class representatives found so far
+    and infers the other pairs (the argument is in the module docstring);
+    every inferred isomorphism carries a composed witness that
+    is_graded_isomorphism has accepted, and RuntimeError is raised if one
+    fails.  On the rows a = 1 and b = 1 every pair is searched.
+    """
+    rings = [RingPresentation(a, b, q) for q in range(b + 1)]
+    if a == 1 or b == 1:
+        return [[rings_isomorphic_bruteforce(src, dst) for dst in rings] for src in rings]
+    representatives: list[RingPresentation] = []
+    classes: list[int] = []  # the class of each q, by representative index
+    witnesses: list[LinearSubstitution] = []  # representative -> q
+    for ring in rings:
+        for index, rep in enumerate(representatives):
+            verdict = rings_isomorphic_bruteforce(rep, ring)
+            if verdict.isomorphic:
+                classes.append(index)
+                witnesses.append(verdict.witness)
+                break
+        else:
+            classes.append(len(representatives))
+            representatives.append(ring)
+            witnesses.append(IDENTITY_SUBSTITUTION)
+    verdicts = []
+    for src, src_class, src_witness in zip(rings, classes, witnesses):
+        inverse = _ADJUGATE[src_witness]
+        row = []
+        for dst, dst_class, dst_witness in zip(rings, classes, witnesses):
+            if dst_class != src_class:
+                row.append(_NOT_ISOMORPHIC)
+                continue
+            composed = _compose(dst_witness, inverse)
+            if not is_graded_isomorphism(composed, src, dst):
+                raise RuntimeError(
+                    f"composed witness {composed} is not an isomorphism "
+                    f"M(q={src.q}) -> M(q={dst.q}) at a={a}, b={b}"
+                )
+            row.append(IsoVerdict(True, composed))
+        verdicts.append(row)
+    return verdicts

@@ -295,14 +295,15 @@ class TestClassify:
             classify(2, 2, 0, 2, with_oracle=True)
 
     def test_verdict_consistency_enforced(self):
-        with pytest.raises(ValueError):
+        # an inconsistent verdict is an internal fault, not an input error
+        with pytest.raises(RuntimeError):
             ClassificationVerdict(
                 a=2, b=2, q=0, q_prime=1, h=1, k=1,
                 cohomology_isomorphic=False,
                 diffeomorphic=True,
                 homotopy_equivalent=True,
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(RuntimeError):
             ClassificationVerdict(
                 a=2, b=2, q=0, q_prime=0, h=1, k=1,
                 cohomology_isomorphic=True,

@@ -6,8 +6,10 @@ from click.testing import CliRunner
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from realbott import arithmetic, cli
+from realbott import arithmetic, cli, oracle
 from realbott.arithmetic import OracleDisagreement, classify
+from realbott.gf2poly import IDENTITY_SUBSTITUTION
+from realbott.oracle import enumerate_substitutions
 from realbott.cli import FORMATS, SCHEMA, dumps_record, emit_records, main, record_from_verdict
 
 EXPECTED_HEADER = (
@@ -134,6 +136,18 @@ class TestClassify:
              "--q-prime", "1", "--oracle"],
         )
         assert result.exit_code == 3
+
+    def test_inconsistent_verdict_is_internal_error(self, runner, monkeypatch):
+        # (0, 3) is not cohomology-isomorphic at (10, 17), so a lying
+        # diffeomorphism criterion yields a verdict that refuses itself
+        monkeypatch.setattr(arithmetic, "diffeo_criterion", lambda *args: True)
+        result = runner.invoke(
+            main, ["classify", "--a", "10", "--b", "17", "--q", "0", "--q-prime", "3"]
+        )
+        assert result.exit_code == 3
+        assert "Traceback" in result.stderr
+        assert "refusing an inconsistent verdict" in result.stderr
+        assert "Usage:" not in result.output
 
     @pytest.mark.parametrize(
         "a, b, q, q_prime",
@@ -360,6 +374,15 @@ class TestVerify:
         assert result.exit_code == 2
         assert "bounds must be >= 1" in result.output
         assert "checked" not in result.output
+
+    def test_failed_composed_witness_is_internal_error(self, runner, monkeypatch):
+        # a composed witness that fails its check is a fault, not a mismatch
+        identity = {subst: IDENTITY_SUBSTITUTION for subst in enumerate_substitutions()}
+        monkeypatch.setattr(oracle, "_ADJUGATE", identity)
+        result = runner.invoke(main, ["verify", "--only", "a=10,b=17"])
+        assert result.exit_code == 3
+        assert "composed witness" in result.stderr
+        assert "MISMATCH" not in result.output
 
     def test_mismatch_exits_one(self, runner, monkeypatch):
         # force a wrong criterion to exercise the failure path

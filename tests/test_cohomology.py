@@ -2,13 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realbott import cohomology
 from realbott.cohomology import (
     RingElement,
     RingPresentation,
     betti,
     nonvanishing_check,
+    nonvanishing_failures,
     normal_form,
     relation_polys,
+    sw_swap_failures,
     total_sw_class,
 )
 from realbott.gf2poly import COMPLEMENT_SUBSTITUTION, PolyGF2, substitute_linear
@@ -252,6 +255,15 @@ class TestNonvanishing:
                         True,
                     ), (a, b, q)
 
+    def test_failures_sweep_is_empty(self):
+        assert nonvanishing_failures(8, 8) == []
+
+    def test_failures_sweep_reports_each_failure(self, monkeypatch):
+        monkeypatch.setattr(cohomology, "nonvanishing_check", lambda pres: (True, False))
+        assert nonvanishing_failures(3, 4) == [
+            (a, b, q) for a in range(1, 4) for b in range(1, 5) for q in range(1, b)
+        ]
+
 
 class TestBetti:
     def test_degree_one(self):
@@ -336,6 +348,34 @@ class TestTotalSWClass:
                         swapped,
                     )
                     assert carried == total_sw_class(swapped), (a, b, q)
+
+    def test_swap_failures_sweep_is_empty(self):
+        assert sw_swap_failures(8, 8) == []
+
+    def test_swap_failures_sweep_reports_each_failure(self, monkeypatch):
+        # adding x to w(M(0)) breaks the symmetry at q = 0 (as source) and
+        # at q = b (as target); x vanishes when a = 1
+        def broken(pres):
+            cls = total_sw_class(pres)
+            return cls if pres.q else cls + normal_form(mono(1, 0), pres)
+
+        monkeypatch.setattr(cohomology, "total_sw_class", broken)
+        assert sw_swap_failures(3, 4) == [
+            (a, b, q) for a in range(2, 4) for b in range(1, 5) for q in (0, b)
+        ]
+
+    def test_swap_failures_sweep_computes_each_class_once(self, monkeypatch):
+        seen = []
+
+        def counted(pres):
+            seen.append((pres.a, pres.b, pres.q))
+            return total_sw_class(pres)
+
+        monkeypatch.setattr(cohomology, "total_sw_class", counted)
+        assert sw_swap_failures(4, 5) == []
+        assert sorted(seen) == [
+            (a, b, q) for a in range(1, 5) for b in range(1, 6) for q in range(b + 1)
+        ]
 
     def test_leading_coefficient_is_one(self):
         for pres in all_presentations(6, 6):

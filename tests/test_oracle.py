@@ -9,8 +9,10 @@ from realbott.gf2poly import (
     SWAP_SUBSTITUTION,
     LinearSubstitution,
 )
+from realbott import oracle
 from realbott.oracle import (
     IsoVerdict,
+    cell_isomorphisms,
     enumerate_substitutions,
     induces_homomorphism,
     is_graded_isomorphism,
@@ -177,24 +179,93 @@ class TestAgainstReferenceSearch:
 
     @pytest.mark.parametrize("a, b", [(1, 6), (6, 1), (4, 7), (10, 17)])
     def test_shared_presentations_match_fresh_ones(self, a, b):
-        # every ring is a source and a target many times, in both sweep
-        # orders, as in verify; the verdicts must not depend on that reuse
-        rings = [RingPresentation(a, b, q) for q in range(b + 1)]
-        for sweep in (rings, rings[::-1]):
-            for dst in sweep:
-                for src in sweep:
-                    fresh = rings_isomorphic_bruteforce(
-                        RingPresentation(a, b, src.q), RingPresentation(a, b, dst.q)
-                    )
-                    assert rings_isomorphic_bruteforce(src, dst) == fresh, (src, dst)
-                    for subst in enumerate_substitutions():
-                        assert is_graded_isomorphism(subst, src, dst) == (
-                            is_graded_isomorphism(
-                                subst,
-                                RingPresentation(a, b, src.q),
-                                RingPresentation(a, b, dst.q),
-                            )
-                        ), (subst, src, dst)
+        # the class sweep builds each ring once and reuses it as source and
+        # target; its verdicts must match per-pair searches on fresh rings,
+        # and its witnesses must hold on fresh rings
+        for q, row in enumerate(cell_isomorphisms(a, b)):
+            for q_prime, verdict in enumerate(row):
+                src, dst = RingPresentation(a, b, q), RingPresentation(a, b, q_prime)
+                fresh = rings_isomorphic_bruteforce(src, dst)
+                assert verdict.isomorphic == fresh.isomorphic, (q, q_prime)
+                if verdict.isomorphic:
+                    assert is_graded_isomorphism(verdict.witness, src, dst), (q, q_prime)
+
+    @pytest.mark.parametrize("a", range(1, 6))
+    @pytest.mark.parametrize("b", range(1, 6))
+    def test_class_sweep_witnesses_pass_the_reference(self, a, b):
+        for q, row in enumerate(cell_isomorphisms(a, b)):
+            for q_prime, verdict in enumerate(row):
+                assert verdict.isomorphic == (
+                    reference_isomorphism(a, b, q, q_prime) is not None
+                ), (q, q_prime)
+                if verdict.isomorphic:
+                    assert reference_graded_isomorphism(
+                        a, b, q, q_prime, verdict.witness.x_image, verdict.witness.y_image
+                    ), (q, q_prime, verdict.witness)
+
+
+class TestCellIsomorphisms:
+    @pytest.mark.parametrize("a", range(1, 9))
+    def test_agrees_with_all_pairs_search(self, a):
+        # b <= 12, the degenerate rows a = 1 and b = 1 included; every
+        # witness, searched or composed, is an isomorphism
+        for b in range(1, 13):
+            rings = [RingPresentation(a, b, q) for q in range(b + 1)]
+            verdicts = cell_isomorphisms(a, b)
+            assert len(verdicts) == b + 1
+            for src, row in zip(rings, verdicts):
+                assert len(row) == b + 1
+                for dst, verdict in zip(rings, row):
+                    searched = rings_isomorphic_bruteforce(src, dst)
+                    assert verdict.isomorphic == searched.isomorphic, (b, src.q, dst.q)
+                    if verdict.isomorphic:
+                        assert is_graded_isomorphism(verdict.witness, src, dst), (
+                            b, src.q, dst.q,
+                        )
+
+    @pytest.mark.parametrize("a, b", [(16, 33), (32, 64), (33, 65)])
+    def test_agrees_with_criterion_deep_in_the_gap(self, a, b):
+        # h(a) < k(a) and b > 2^h(a): isomorphic rings of non-diffeomorphic
+        # manifolds exist in each of these cells
+        mismatches, counterexamples = [], 0
+        for q, row in enumerate(cell_isomorphisms(a, b)):
+            for q_prime, verdict in enumerate(row):
+                if verdict.isomorphic != cohomology_criterion(a, b, q, q_prime):
+                    mismatches.append((q, q_prime))
+                elif verdict.isomorphic and not diffeo_criterion(a, b, q, q_prime):
+                    counterexamples += 1
+        assert mismatches == []
+        assert counterexamples > 0
+
+    def test_failed_composed_witness_raises(self, monkeypatch):
+        # with every inverse replaced by the identity the composed maps are
+        # wrong; the check must refuse them rather than report a verdict
+        identity = {subst: IDENTITY_SUBSTITUTION for subst in enumerate_substitutions()}
+        monkeypatch.setattr(oracle, "_ADJUGATE", identity)
+        with pytest.raises(RuntimeError, match="composed witness"):
+            cell_isomorphisms(10, 17)
+
+    def test_adjugate_inverts_exactly_the_invertible_substitutions(self):
+        invertible = 0
+        for subst in enumerate_substitutions():
+            (xx, xy), (yx, yy) = subst.x_image, subst.y_image
+            adjugate = oracle._ADJUGATE[subst]
+            if xx & yy ^ xy & yx:
+                invertible += 1
+                assert oracle._compose(subst, adjugate) == IDENTITY_SUBSTITUTION, subst
+                assert oracle._compose(adjugate, subst) == IDENTITY_SUBSTITUTION, subst
+            else:
+                assert oracle._compose(subst, adjugate) != IDENTITY_SUBSTITUTION, subst
+        assert invertible == 6
+
+    def test_compose_applies_the_inner_substitution_first(self):
+        kill_y = LinearSubstitution((1, 0), (0, 0))
+        # x -> x -> x and y -> x + y -> x + 0
+        assert oracle._compose(kill_y, COMPLEMENT_SUBSTITUTION) == LinearSubstitution(
+            (1, 0), (1, 0)
+        )
+        # x -> x -> x and y -> 0
+        assert oracle._compose(COMPLEMENT_SUBSTITUTION, kill_y) == kill_y
 
 
 def test_agrees_with_criterion_where_rigidity_fails():
