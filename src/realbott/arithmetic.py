@@ -136,7 +136,7 @@ def binomial_rows_match(a: int, q: int, q_prime: int) -> bool:
     return True
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassificationVerdict:
     """Everything the theorems say about one pair (q, q') for fixed (a, b)."""
 
@@ -220,15 +220,6 @@ def classify_row(a: int, b: int, q: int) -> list[ClassificationVerdict]:
     row = []
     for q_prime in range(q, b + 1):
         diffeo = _congruent_to_q_or_complement(b, q, q_prime, diffeo_modulus)
-        row.append(ClassificationVerdict(
-            a=a,
-            b=b,
-            q=q,
-            q_prime=q_prime,
-            h=h,
-            k=k,
-            cohomology_isomorphic=_congruent_to_q_or_complement(b, q, q_prime, cohomology_modulus),
-            diffeomorphic=diffeo,
-            homotopy_equivalent=diffeo,
-        ))
+        cohomology = _congruent_to_q_or_complement(b, q, q_prime, cohomology_modulus)
+        row.append(ClassificationVerdict(a, b, q, q_prime, h, k, cohomology, diffeo, diffeo))
     return row

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import sys
 import time
-from typing import IO
+from operator import attrgetter
+from typing import IO, Iterable
 
 import click
 
@@ -68,47 +69,83 @@ def record_from_verdict(verdict: ClassificationVerdict) -> dict:
     return record
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+_TRUTH = ("false", "true")  # indexed by a bool: how json and csv spell it
+
+
+def _fields(v: ClassificationVerdict) -> tuple:
+    """A verdict's SCHEMA fields in order, ints as they are and booleans as
+    true/false, ready for a %s template."""
+    return (
+        v.a, v.b, v.q, v.q_prime, v.h, v.k,
+        _TRUTH[v.cohomology_isomorphic], _TRUTH[v.diffeomorphic], _TRUTH[v.homotopy_equivalent],
+    )
 
 
 _RECORD_TEMPLATE = "{" + ", ".join(f'"{key}": %s' for key in SCHEMA) + "%s}"
+_CSV_HEADER = ",".join(SCHEMA) + "\n"
+_CSV_TEMPLATE = ",".join(["%s"] * len(SCHEMA)) + "\n"
 
 
-def dumps_record(record: dict) -> str:
+def dumps_record(verdict: ClassificationVerdict) -> str:
     """The one JSON encoder for records: the SCHEMA fields, in order, filled
-    into a fixed template (booleans as true/false, ints in decimal), then the
-    witness, if present, encoded by json.dumps.  Gives the same bytes as
-    json.dumps(record) on such a record, without building an encoder per call.
+    into a fixed template, then the witness, if present, encoded by
+    json.dumps.  Gives the same bytes as json.dumps(record_from_verdict(v))
+    without building the dict or an encoder.
     """
-    witness = ', "witness": ' + json.dumps(record["witness"]) if "witness" in record else ""
-    return _RECORD_TEMPLATE % (*[_cell(record[key]) for key in SCHEMA], witness)
+    witness = verdict.oracle_witness
+    witness = "" if witness is None else ', "witness": ' + json.dumps(str(witness))
+    return _RECORD_TEMPLATE % (*_fields(verdict), witness)
 
 
-def emit_records(records: list[dict], fmt: str, out: IO[str]) -> None:
-    """Write records in the requested format, schema columns first."""
+def _witness_cell(witness) -> str:
+    return "-" if witness is None else str(witness)
+
+
+def _write_text(verdicts: list[ClassificationVerdict], out: IO[str]) -> None:
+    """An aligned table, written line by line after one pass per column finds
+    its width.  The witness column is there only if some verdict has one."""
+    columns = [(key, attrgetter(key), str) for key in SCHEMA[:6]]
+    columns += [(key, attrgetter(key), _TRUTH.__getitem__) for key in SCHEMA[6:]]
+    with_witness = any(v.oracle_witness is not None for v in verdicts)
+    if with_witness:
+        columns.append(("witness", attrgetter("oracle_witness"), _witness_cell))
+    widths = [
+        max([len(name), *map(len, map(cell, map(get, verdicts)))]) for name, get, cell in columns
+    ]
+    line = "  ".join(f"%{width}s" for width in widths) + "\n"
+    out.write(line % tuple(name for name, _, _ in columns))
+    for v in verdicts:
+        fields = _fields(v)
+        out.write(line % ((*fields, _witness_cell(v.oracle_witness)) if with_witness else fields))
+
+
+def emit_records(
+    verdicts: list[ClassificationVerdict], fmt: str, out: IO[str], header: bool = True
+) -> None:
+    """Write the verdicts' records in the requested format, schema columns
+    first.  header=False leaves out the csv header line."""
     if fmt == "jsonl":
-        out.write("".join([dumps_record(record) + "\n" for record in records]))
-    elif fmt == "json":
-        out.write(json.dumps(records, indent=2) + "\n")
+        out.write("".join([dumps_record(v) + "\n" for v in verdicts]))
     elif fmt == "csv":
-        out.write(",".join(SCHEMA) + "\n")
-        for record in records:
-            out.write(",".join(_cell(record[key]) for key in SCHEMA) + "\n")
+        rows = "".join([_CSV_TEMPLATE % _fields(v) for v in verdicts])
+        out.write(_CSV_HEADER + rows if header else rows)
+    elif fmt == "json":
+        out.write(json.dumps([record_from_verdict(v) for v in verdicts], indent=2) + "\n")
     else:
-        extras = [
-            key for key in ("witness", "sw_class")
-            if any(key in record for record in records)
-        ]
-        columns = list(SCHEMA) + extras
-        table = [columns] + [
-            [_cell(record.get(key, "-")) for key in columns] for record in records
-        ]
-        widths = [max(len(row[c]) for row in table) for c in range(len(columns))]
-        for row in table:
-            out.write("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n")
+        _write_text(verdicts, out)
+
+
+def _emit_rows(rows: Iterable[list[ClassificationVerdict]], fmt: str, out: IO[str]) -> None:
+    """Write rows of verdicts as one output.  jsonl and csv go out a row at a
+    time, after csv's fixed header; text and json need every verdict first,
+    so they hold the verdicts (never their records)."""
+    if fmt in ("jsonl", "csv"):
+        if fmt == "csv":
+            out.write(_CSV_HEADER)
+        for row in rows:
+            emit_records(row, fmt, out, header=False)
+    else:
+        emit_records([v for row in rows for v in row], fmt, out)
 
 
 def _validated_verdict(a, b, q, q_prime, with_oracle=False) -> ClassificationVerdict:
@@ -172,7 +209,7 @@ def classify(a, b, q, q_prime, oracle, fmt, out) -> None:
     except OracleDisagreement as exc:
         click.echo(str(exc), err=True)
         sys.exit(1)
-    emit_records([record_from_verdict(verdict)], fmt, out)
+    emit_records([verdict], fmt, out)
 
 
 def _check_bounds(a: int, b: int) -> None:
@@ -188,12 +225,19 @@ def _check_bounds(a: int, b: int) -> None:
 def table(a, b, fmt, out) -> None:
     """Classify every pair 0 <= q <= q' <= b for fixed (a, b)."""
     _check_bounds(a, b)
-    rows = ([record_from_verdict(v) for v in classify_row(a, b, q)] for q in range(b + 1))
-    if fmt == "jsonl":  # streamed one q-row at a time; the others need every record
-        for row in rows:
-            emit_records(row, fmt, out)
-    else:
-        emit_records([record for row in rows for record in row], fmt, out)
+    _emit_rows((classify_row(a, b, q) for q in range(b + 1)), fmt, out)
+
+
+def _counterexample_rows(a_max: int, b_max: int) -> Iterable[list[ClassificationVerdict]]:
+    """For each a, the verdicts of the constructed pairs of the cells
+    (a, 1..b_max) where rigidity fails."""
+    for a in range(1, a_max + 1):
+        row = []
+        for b in range(1, b_max + 1):
+            pair = counterexample_pair(a, b)
+            if pair is not None:
+                row.append(_validated_verdict(a, b, *pair))
+        yield row
 
 
 @main.command()
@@ -205,14 +249,7 @@ def counterexamples(a_max, b_max, fmt, out) -> None:
     """List, for each (a, b) in range where rigidity fails, a constructed
     pair with isomorphic cohomology but non-diffeomorphic manifolds."""
     _check_bounds(a_max, b_max)
-    records = []
-    for a in range(1, a_max + 1):
-        for b in range(1, b_max + 1):
-            pair = counterexample_pair(a, b)
-            if pair is None:
-                continue
-            records.append(record_from_verdict(_validated_verdict(a, b, *pair)))
-    emit_records(records, fmt, out)
+    _emit_rows(_counterexample_rows(a_max, b_max), fmt, out)
 
 
 def _parse_only(text: str) -> tuple[int, int]:

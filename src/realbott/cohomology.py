@@ -152,8 +152,11 @@ def nonvanishing_check(pres: RingPresentation) -> tuple[bool, bool]:
 
 
 def betti(pres: RingPresentation, d: int) -> int:
-    """Dimension of the degree-d graded piece; independent of q."""
-    return len(pres.basis(d))
+    """Dimension of the degree-d graded piece; independent of q.
+
+    The number of i with 0 <= i < a and 0 <= d - i < b, in closed form.
+    """
+    return max(0, min(pres.a - 1, d) - max(0, d - pres.b + 1) + 1)
 
 
 def total_sw_class(pres: RingPresentation) -> RingElement:

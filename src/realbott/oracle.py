@@ -135,9 +135,9 @@ def is_graded_isomorphism(
 
     Checks the homomorphism condition, then that L1 and L2 span the
     target's degree-1 piece; by the lemma in the module docstring that
-    is bijectivity.  The rank is computed rather than assumed.
+    is bijectivity.  The rank is computed rather than assumed.  The shapes
+    are checked by induces_homomorphism.
     """
-    _check_same_shape(src, dst)
     if not induces_homomorphism(subst, src, dst):
         return False
     fx, fy = subst.forms  # each form mask is its degree-1 piece

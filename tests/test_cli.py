@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -7,7 +9,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from realbott import arithmetic, cli, oracle
-from realbott.arithmetic import OracleDisagreement, classify
+from realbott.arithmetic import (
+    ClassificationVerdict,
+    OracleDisagreement,
+    classify,
+    counterexample_pair,
+)
 from realbott.gf2poly import IDENTITY_SUBSTITUTION
 from realbott.oracle import enumerate_substitutions
 from realbott.cli import FORMATS, SCHEMA, dumps_record, emit_records, main, record_from_verdict
@@ -15,6 +22,7 @@ from realbott.cli import FORMATS, SCHEMA, dumps_record, emit_records, main, reco
 EXPECTED_HEADER = (
     "a,b,q,q_prime,h,k,cohomology_isomorphic,diffeomorphic,homotopy_equivalent"
 )
+REFERENCE_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 @pytest.fixture
@@ -110,7 +118,7 @@ class TestClassify:
              "--q-prime", "16", "--format", "jsonl"],
         )
         line = result.output.splitlines()[0]
-        assert dumps_record(json.loads(line)) == line
+        assert dumps_record(ClassificationVerdict(**json.loads(line))) == line
 
     def test_oracle_disagreement_exits_one(self, runner, monkeypatch):
         def broken(*args, **kwargs):
@@ -176,8 +184,6 @@ class TestClassify:
         assert target.read_text().splitlines()[0] == EXPECTED_HEADER
 
 
-BOOLEAN_FIELDS = ("cohomology_isomorphic", "diffeomorphic", "homotopy_equivalent")
-
 # 0 and 1 often (1 == True, the trap of a dict-based boolean encoder), and ints far beyond 64 bits
 schema_ints = st.one_of(
     st.sampled_from([0, 1]),
@@ -185,33 +191,32 @@ schema_ints = st.one_of(
     st.integers(min_value=2**64, max_value=2**256),
 )
 witness_text = st.text(st.one_of(st.sampled_from('"\\\u00e9\u2192\n'), st.characters()))
+# every consistent (cohomology_isomorphic, diffeomorphic) pair: each field takes both values
+consistent_truths = st.sampled_from([(False, False), (True, False), (True, True)])
 
 
 @st.composite
-def schema_records(draw):
-    record = {
-        key: draw(st.booleans() if key in BOOLEAN_FIELDS else schema_ints)
-        for key in SCHEMA
-    }
-    witness = draw(st.none() | witness_text)
-    if witness is not None:
-        record["witness"] = witness
-    return record
+def schema_verdicts(draw):
+    ints = [draw(schema_ints) for _ in range(6)]
+    cohomology, diffeo = draw(consistent_truths)
+    # any witness is rendered through str(): real substitutions, and text that needs escaping
+    witness = draw(st.none() | st.sampled_from(enumerate_substitutions()) | witness_text)
+    return ClassificationVerdict(*ints, cohomology, diffeo, diffeo, witness)
 
 
 class TestDumpsRecord:
-    @given(schema_records())
-    @example(dict(zip(SCHEMA, (1, 1, 1, 0, 1, 0, True, False, False))))
-    @example(dict(zip(SCHEMA, (10, 17, 0, 16, 4, 5, True, False, False)),
-                  witness='x->"x" \\ y->x+y \u00e9\u2192'))
-    def test_matches_json_dumps(self, record):
-        assert dumps_record(record) == json.dumps(record)
+    @given(schema_verdicts())
+    @example(ClassificationVerdict(1, 1, 1, 0, 1, 0, True, False, False))
+    @example(ClassificationVerdict(10, 17, 0, 16, 4, 5, True, False, False,
+                                   'x->"x" \\ y->x+y \u00e9\u2192'))
+    def test_matches_json_dumps(self, verdict):
+        assert dumps_record(verdict) == json.dumps(record_from_verdict(verdict))
 
 
-def per_pair_table_records(a: int, b: int) -> list[dict]:
-    """table's records built the old way: one classify call per pair."""
+def per_pair_table_verdicts(a: int, b: int) -> list[ClassificationVerdict]:
+    """table's verdicts built the old way: one classify call per pair."""
     return [
-        record_from_verdict(classify(a, b, q, q_prime))
+        classify(a, b, q, q_prime)
         for q in range(b + 1)
         for q_prime in range(q, b + 1)
     ]
@@ -221,14 +226,16 @@ class TestTable:
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("a, b", [(1, 1), (2, 2), (10, 17), (9, 100), (64, 65)])
     def test_matches_per_pair_records(self, runner, a, b, fmt):
-        records = per_pair_table_records(a, b)
+        verdicts = per_pair_table_verdicts(a, b)
         expected = io.StringIO()
-        emit_records(records, fmt, expected)
+        emit_records(verdicts, fmt, expected)
         result = runner.invoke(main, ["table", "--a", str(a), "--b", str(b), "--format", fmt])
         assert result.exit_code == 0
         assert result.output == expected.getvalue()
         if fmt == "jsonl":
-            assert result.output == "".join(json.dumps(r) + "\n" for r in records)
+            assert result.output == "".join(
+                json.dumps(record_from_verdict(v)) + "\n" for v in verdicts
+            )
 
     def test_pair_count_and_order(self, runner):
         result = runner.invoke(
@@ -278,7 +285,33 @@ class TestTable:
         assert EXPECTED_HEADER not in result.output
 
 
+def per_cell_counterexample_verdicts(a_max: int, b_max: int) -> list[ClassificationVerdict]:
+    """counterexamples' verdicts built the old way: counterexample_pair and
+    classify once per cell."""
+    return [
+        classify(a, b, *pair)
+        for a in range(1, a_max + 1)
+        for b in range(1, b_max + 1)
+        if (pair := counterexample_pair(a, b)) is not None
+    ]
+
+
 class TestCounterexamples:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("a_max, b_max", [(10, 17), (10, 32), (11, 20), (9, 1000)])
+    def test_matches_per_cell_records(self, runner, a_max, b_max, fmt):
+        verdicts = per_cell_counterexample_verdicts(a_max, b_max)
+        expected = io.StringIO()
+        emit_records(verdicts, fmt, expected)
+        result = runner.invoke(main, ["counterexamples", "--a-max", str(a_max),
+                                      "--b-max", str(b_max), "--format", fmt])
+        assert result.exit_code == 0
+        assert result.output == expected.getvalue()
+        if not verdicts:  # the rigid range
+            empty = {"text": "  ".join(SCHEMA) + "\n", "csv": EXPECTED_HEADER + "\n",
+                     "json": "[]\n", "jsonl": ""}
+            assert result.output == empty[fmt]
+
     def test_single_cell_in_range(self, runner):
         result = runner.invoke(
             main, ["counterexamples", "--a-max", "10", "--b-max", "17",
@@ -322,6 +355,23 @@ class TestCounterexamples:
         monkeypatch.setattr(arithmetic, "diffeo_criterion", lambda *args: True)
         result = runner.invoke(main, ["counterexamples", "--a-max", "10", "--b-max", "17"])
         assert result.exit_code == 3
+
+
+class TestReferenceDigests:
+    """perfbench/run.py checks each command's stdout against the sha256 in
+    perfbench/reference.json; a --help that drifts fails its warm-up, so no
+    pass of the benchmark runs at all."""
+
+    @pytest.mark.parametrize("command", ["--help", "counterexamples --a-max 64 --b-max 512"])
+    def test_stdout_matches_recorded_digest(self, runner, command):
+        digests = json.loads(REFERENCE_DIGESTS.read_text())
+        # click wraps help at 78 columns when stdout is not a terminal, as in
+        # the benchmark's child processes; CliRunner alone would force 80
+        result = runner.invoke(
+            main, command.split(), prog_name="python -m realbott.cli", terminal_width=78
+        )
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digests[command]
 
 
 class TestVerify:

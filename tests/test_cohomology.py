@@ -287,6 +287,13 @@ class TestBetti:
                 RingPresentation(4, 4, 0), 3
             )
 
+    def test_closed_form_counts_the_basis(self):
+        for a in range(1, 13):
+            for b in range(1, 13):
+                pres = RingPresentation(a, b, 0)
+                for d in range(-2, pres.top_degree + 3):
+                    assert betti(pres, d) == len(pres.basis(d)), (a, b, d)
+
 
 class TestFundamentalClass:
     def test_nonzero_sweep(self):
