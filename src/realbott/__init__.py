@@ -8,6 +8,7 @@ from .arithmetic import (
     classify_row,
     cohomology_criterion,
     counterexample_pair,
+    counterexample_row,
     diffeo_criterion,
     h_of,
     homotopy_criterion,
@@ -72,6 +73,7 @@ __all__ = [
     "homotopy_criterion",
     "rigidity_holds",
     "counterexample_pair",
+    "counterexample_row",
     "binomial_rows_match",
     "ClassificationVerdict",
     "OracleDisagreement",

@@ -11,6 +11,7 @@ cap on a is needed and nothing can silently wrap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +25,7 @@ __all__ = [
     "homotopy_criterion",
     "rigidity_holds",
     "counterexample_pair",
+    "counterexample_row",
     "binomial_rows_match",
     "ClassificationVerdict",
     "OracleDisagreement",
@@ -58,10 +60,17 @@ def k_of(a: int) -> int:
     return count
 
 
-def _check_pair_ranges(a: int, b: int, q: int, q_prime: int) -> None:
-    _check_a(a)
+def _check_b(b: int, name: str = "b") -> None:
     if b < 1:
-        raise ValueError(f"b must be a positive integer, got {b}")
+        raise ValueError(f"{name} must be a positive integer, got {b}")
+
+
+def _check_pair_ranges(a: int, b: int, q: int, q_prime: int) -> None:
+    # the passing case, in one chain: a >= 1, b >= 1, 0 <= q <= b, 0 <= q_prime <= b
+    if a >= 1 <= b >= q >= 0 <= q_prime <= b:
+        return
+    _check_a(a)
+    _check_b(b)
     for name, value in (("q", q), ("q_prime", q_prime)):
         if not 0 <= value <= b:
             raise ValueError(f"{name} must satisfy 0 <= {name} <= b={b}, got {value}")
@@ -90,13 +99,27 @@ def diffeo_criterion(a: int, b: int, q: int, q_prime: int) -> bool:
 homotopy_criterion = diffeo_criterion
 
 
+def _last_rigid_b(a: int, cohomology_modulus: int) -> float:
+    """The largest b at which rigidity holds for this a (infinite when every
+    b does): rigidity is a <= 9 or b <= 2^h(a)."""
+    return math.inf if a <= 9 else cohomology_modulus
+
+
 def rigidity_holds(a: int, b: int) -> bool:
     """Whether mod-2 cohomology determines these manifolds up to
     diffeomorphism: a <= 9 or b <= 2^h(a)."""
     _check_a(a)
-    if b < 1:
-        raise ValueError(f"b must be a positive integer, got {b}")
-    return a <= 9 or b <= 2 ** h_of(a)
+    _check_b(b)
+    return b <= _last_rigid_b(a, 2 ** h_of(a))
+
+
+def _construction(b: int, m: int) -> tuple[int, int]:
+    # the counterexample pair at rank b, with m = 2^h(a)
+    return (1, m + 1) if b % m == 0 else (0, m)
+
+
+def _not_a_counterexample(a: int, b: int, pair: tuple[int, int]) -> RuntimeError:
+    return RuntimeError(f"constructed pair {pair} is not a counterexample for (a={a}, b={b})")
 
 
 def counterexample_pair(a: int, b: int) -> Optional[tuple[int, int]]:
@@ -110,11 +133,9 @@ def counterexample_pair(a: int, b: int) -> Optional[tuple[int, int]]:
     """
     if rigidity_holds(a, b):
         return None
-    m = 2 ** h_of(a)
-    pair = (1, m + 1) if b % m == 0 else (0, m)
-    q, q_prime = pair
-    if not cohomology_criterion(a, b, q, q_prime) or diffeo_criterion(a, b, q, q_prime):
-        raise RuntimeError(f"constructed pair {pair} is not a counterexample for (a={a}, b={b})")
+    pair = _construction(b, 2 ** h_of(a))
+    if not cohomology_criterion(a, b, *pair) or diffeo_criterion(a, b, *pair):
+        raise _not_a_counterexample(a, b, pair)
     return pair
 
 
@@ -221,5 +242,30 @@ def classify_row(a: int, b: int, q: int) -> list[ClassificationVerdict]:
     for q_prime in range(q, b + 1):
         diffeo = _congruent_to_q_or_complement(b, q, q_prime, diffeo_modulus)
         cohomology = _congruent_to_q_or_complement(b, q, q_prime, cohomology_modulus)
+        row.append(ClassificationVerdict(a, b, q, q_prime, h, k, cohomology, diffeo, diffeo))
+    return row
+
+
+def counterexample_row(a: int, b_max: int) -> list[ClassificationVerdict]:
+    """classify(a, b, *counterexample_pair(a, b)) for every b <= b_max where
+    rigidity fails, in b order; empty when a <= 9.
+
+    a and b_max are checked, and h(a), k(a) and both moduli are computed,
+    once for the row, which walks only the cells b > 2^h(a).  Each
+    constructed pair is decided by the criteria's congruence, raises
+    RuntimeError as counterexample_pair does when it is not a
+    counterexample, and is checked by its own ClassificationVerdict.
+    """
+    _check_a(a)
+    _check_b(b_max, "b_max")
+    h, k = h_of(a), k_of(a)
+    cohomology_modulus, diffeo_modulus = 2 ** h, 2 ** k
+    row = []
+    for b in range(min(_last_rigid_b(a, cohomology_modulus), b_max) + 1, b_max + 1):
+        q, q_prime = pair = _construction(b, cohomology_modulus)
+        cohomology = _congruent_to_q_or_complement(b, q, q_prime, cohomology_modulus)
+        diffeo = _congruent_to_q_or_complement(b, q, q_prime, diffeo_modulus)
+        if not cohomology or diffeo:
+            raise _not_a_counterexample(a, b, pair)
         row.append(ClassificationVerdict(a, b, q, q_prime, h, k, cohomology, diffeo, diffeo))
     return row

@@ -24,7 +24,7 @@ from .arithmetic import (
     classify as classify_pair,
     classify_row,
     cohomology_criterion,
-    counterexample_pair,
+    counterexample_row,
 )
 from .cohomology import (
     RingPresentation,
@@ -51,24 +51,6 @@ FORMATS = ("text", "csv", "json", "jsonl")
 INTERNAL_ERROR_EXIT = 3
 
 
-def record_from_verdict(verdict: ClassificationVerdict) -> dict:
-    """Flatten a verdict into the fixed output schema (plus witness)."""
-    record = {
-        "a": verdict.a,
-        "b": verdict.b,
-        "q": verdict.q,
-        "q_prime": verdict.q_prime,
-        "h": verdict.h,
-        "k": verdict.k,
-        "cohomology_isomorphic": verdict.cohomology_isomorphic,
-        "diffeomorphic": verdict.diffeomorphic,
-        "homotopy_equivalent": verdict.homotopy_equivalent,
-    }
-    if verdict.oracle_witness is not None:
-        record["witness"] = str(verdict.oracle_witness)
-    return record
-
-
 _TRUTH = ("false", "true")  # indexed by a bool: how json and csv spell it
 
 
@@ -82,19 +64,40 @@ def _fields(v: ClassificationVerdict) -> tuple:
 
 
 _RECORD_TEMPLATE = "{" + ", ".join(f'"{key}": %s' for key in SCHEMA) + "%s}"
+# one element of json.dumps(records, indent=2)
+_INDENTED_TEMPLATE = "  {\n" + ",\n".join(f'    "{key}": %s' for key in SCHEMA) + "%s\n  }"
 _CSV_HEADER = ",".join(SCHEMA) + "\n"
 _CSV_TEMPLATE = ",".join(["%s"] * len(SCHEMA)) + "\n"
+
+
+def _witness_member(witness, separator: str) -> str:
+    """A record's witness member after separator, encoded by json.dumps;
+    empty when there is no witness."""
+    return "" if witness is None else f'{separator}"witness": {json.dumps(str(witness))}'
 
 
 def dumps_record(verdict: ClassificationVerdict) -> str:
     """The one JSON encoder for records: the SCHEMA fields, in order, filled
     into a fixed template, then the witness, if present, encoded by
-    json.dumps.  Gives the same bytes as json.dumps(record_from_verdict(v))
+    json.dumps.  Gives the same bytes as json.dumps of the record's dict
     without building the dict or an encoder.
     """
-    witness = verdict.oracle_witness
-    witness = "" if witness is None else ', "witness": ' + json.dumps(str(witness))
-    return _RECORD_TEMPLATE % (*_fields(verdict), witness)
+    return _RECORD_TEMPLATE % (*_fields(verdict), _witness_member(verdict.oracle_witness, ", "))
+
+
+def _write_json(verdicts: list[ClassificationVerdict], out: IO[str]) -> None:
+    """The records as one indent=2 array, each filled into a fixed template
+    like dumps_record's and written as it is made: the same bytes as
+    json.dumps(records, indent=2), with no record or output string held."""
+    if not verdicts:
+        out.write("[]\n")
+        return
+    separator = "[\n"
+    for v in verdicts:
+        witness = _witness_member(v.oracle_witness, ",\n    ")
+        out.write(separator + _INDENTED_TEMPLATE % (*_fields(v), witness))
+        separator = ",\n"
+    out.write("\n]\n")
 
 
 def _witness_cell(witness) -> str:
@@ -102,18 +105,25 @@ def _witness_cell(witness) -> str:
 
 
 def _write_text(verdicts: list[ClassificationVerdict], out: IO[str]) -> None:
-    """An aligned table, written line by line after one pass per column finds
-    its width.  The witness column is there only if some verdict has one."""
-    columns = [(key, attrgetter(key), str) for key in SCHEMA[:6]]
-    columns += [(key, attrgetter(key), _TRUTH.__getitem__) for key in SCHEMA[6:]]
+    """An aligned table, written line by line once each column's width is
+    known.  The witness column is there only if some verdict has one."""
+    names = list(SCHEMA)
+    # Every int field of a verdict is >= 0 (classify, classify_row and
+    # counterexample_row check a, b >= 1 and 0 <= q, q' <= b; h and k are
+    # counts), so an int column's longest cell is str(max(column)).  A
+    # boolean column's cells spell the values present in it.
+    longest = [str(max(map(attrgetter(key), verdicts), default=0)) for key in SCHEMA[:6]]
+    longest += [
+        max([_TRUTH[value] for value in set(map(attrgetter(key), verdicts))], key=len, default="")
+        for key in SCHEMA[6:]
+    ]
     with_witness = any(v.oracle_witness is not None for v in verdicts)
     if with_witness:
-        columns.append(("witness", attrgetter("oracle_witness"), _witness_cell))
-    widths = [
-        max([len(name), *map(len, map(cell, map(get, verdicts)))]) for name, get, cell in columns
-    ]
+        names.append("witness")
+        longest.append(max([_witness_cell(v.oracle_witness) for v in verdicts], key=len))
+    widths = [max(len(name), len(cell)) for name, cell in zip(names, longest)]
     line = "  ".join(f"%{width}s" for width in widths) + "\n"
-    out.write(line % tuple(name for name, _, _ in columns))
+    out.write(line % tuple(names))
     for v in verdicts:
         fields = _fields(v)
         out.write(line % ((*fields, _witness_cell(v.oracle_witness)) if with_witness else fields))
@@ -130,7 +140,7 @@ def emit_records(
         rows = "".join([_CSV_TEMPLATE % _fields(v) for v in verdicts])
         out.write(_CSV_HEADER + rows if header else rows)
     elif fmt == "json":
-        out.write(json.dumps([record_from_verdict(v) for v in verdicts], indent=2) + "\n")
+        _write_json(verdicts, out)
     else:
         _write_text(verdicts, out)
 
@@ -228,18 +238,6 @@ def table(a, b, fmt, out) -> None:
     _emit_rows((classify_row(a, b, q) for q in range(b + 1)), fmt, out)
 
 
-def _counterexample_rows(a_max: int, b_max: int) -> Iterable[list[ClassificationVerdict]]:
-    """For each a, the verdicts of the constructed pairs of the cells
-    (a, 1..b_max) where rigidity fails."""
-    for a in range(1, a_max + 1):
-        row = []
-        for b in range(1, b_max + 1):
-            pair = counterexample_pair(a, b)
-            if pair is not None:
-                row.append(_validated_verdict(a, b, *pair))
-        yield row
-
-
 @main.command()
 @click.option("--a-max", required=True, type=int)
 @click.option("--b-max", required=True, type=int)
@@ -249,7 +247,7 @@ def counterexamples(a_max, b_max, fmt, out) -> None:
     """List, for each (a, b) in range where rigidity fails, a constructed
     pair with isomorphic cohomology but non-diffeomorphic manifolds."""
     _check_bounds(a_max, b_max)
-    _emit_rows(_counterexample_rows(a_max, b_max), fmt, out)
+    _emit_rows((counterexample_row(a, b_max) for a in range(1, a_max + 1)), fmt, out)
 
 
 def _parse_only(text: str) -> tuple[int, int]:

@@ -163,3 +163,48 @@ def reference_isomorphism(a: int, b: int, q: int, q_prime: int):
             if reference_graded_isomorphism(a, b, q, q_prime, x_image, y_image):
                 return x_image, y_image
     return None
+
+
+RECORD_KEYS = (
+    "a", "b", "q", "q_prime", "h", "k",
+    "cohomology_isomorphic", "diffeomorphic", "homotopy_equivalent",
+)
+
+
+def record_from_verdict(verdict) -> dict:
+    """Flatten a verdict into the fixed output schema (plus witness)."""
+    record = {
+        "a": verdict.a,
+        "b": verdict.b,
+        "q": verdict.q,
+        "q_prime": verdict.q_prime,
+        "h": verdict.h,
+        "k": verdict.k,
+        "cohomology_isomorphic": verdict.cohomology_isomorphic,
+        "diffeomorphic": verdict.diffeomorphic,
+        "homotopy_equivalent": verdict.homotopy_equivalent,
+    }
+    if verdict.oracle_witness is not None:
+        record["witness"] = str(verdict.oracle_witness)
+    return record
+
+
+def reference_text(verdicts) -> str:
+    """The text table, every column right-aligned to the widest of its
+    cells, found by measuring every cell: ints in decimal, booleans as
+    true/false, and a witness column, "-" where there is none, only if some
+    verdict has a witness.  Columns are separated by two spaces."""
+
+    def cells(verdict) -> list[str]:
+        row = [str(getattr(verdict, key)) for key in RECORD_KEYS[:6]]
+        row += ["true" if getattr(verdict, key) else "false" for key in RECORD_KEYS[6:]]
+        if with_witness:
+            witness = verdict.oracle_witness
+            row.append("-" if witness is None else str(witness))
+        return row
+
+    with_witness = any(v.oracle_witness is not None for v in verdicts)
+    names = [*RECORD_KEYS, "witness"] if with_witness else list(RECORD_KEYS)
+    rows = [names, *map(cells, verdicts)]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(names))]
+    return "".join("  ".join(map(str.rjust, row, widths)) + "\n" for row in rows)

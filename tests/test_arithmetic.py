@@ -15,6 +15,7 @@ from realbott.arithmetic import (
     classify_row,
     cohomology_criterion,
     counterexample_pair,
+    counterexample_row,
     diffeo_criterion,
     h_of,
     homotopy_criterion,
@@ -229,6 +230,45 @@ class TestCounterexamplePair:
         result = subprocess.run([sys.executable, "-O", "-c", script],
                                 env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+class TestCounterexampleRow:
+    @pytest.mark.parametrize("a", range(1, 41))
+    def test_matches_counterexample_pair_cell_by_cell(self, a):
+        m = 2 ** h_of(a)
+        for b_max in (1, m, m + 1, 300):
+            expected = [
+                classify(a, b, *pair)
+                for b in range(1, b_max + 1)
+                if (pair := counterexample_pair(a, b)) is not None
+            ]
+            assert counterexample_row(a, b_max) == expected, b_max
+            if a <= 9:
+                assert expected == []
+
+    @pytest.mark.parametrize("a, b_max", [(0, 20), (10, 0)])
+    def test_range_validation(self, a, b_max):
+        with pytest.raises(ValueError):
+            counterexample_row(a, b_max)
+
+    @pytest.mark.parametrize("name, broken", [
+        # the diffeomorphism modulus 2^k(a) shrinks to 2^h(a): the pair is diffeomorphic
+        ("k_of", h_of),
+        # no congruence holds: the pair is not cohomology-isomorphic
+        ("_congruent_to_q_or_complement", lambda *args: False),
+    ], ids=["diffeomorphic", "not-cohomology-isomorphic"])
+    def test_broken_criterion_raises(self, monkeypatch, name, broken):
+        monkeypatch.setattr(arithmetic, name, broken)
+        with pytest.raises(RuntimeError, match=r"\(0, 16\) is not a counterexample for \(a=10, b=17\)"):
+            counterexample_row(10, 17)
+
+    def test_every_verdict_is_checked(self, monkeypatch):
+        checked = []
+        original = ClassificationVerdict.__post_init__
+        monkeypatch.setattr(ClassificationVerdict, "__post_init__",
+                            lambda self: checked.append(self) or original(self))
+        row = counterexample_row(10, 40)
+        assert len(row) == 24 and checked == row
 
 
 class TestBinomialRowsMatch:

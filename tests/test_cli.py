@@ -17,7 +17,9 @@ from realbott.arithmetic import (
 )
 from realbott.gf2poly import IDENTITY_SUBSTITUTION
 from realbott.oracle import enumerate_substitutions
-from realbott.cli import FORMATS, SCHEMA, dumps_record, emit_records, main, record_from_verdict
+from realbott.cli import FORMATS, SCHEMA, dumps_record, emit_records, main
+
+from _oracles import RECORD_KEYS, record_from_verdict, reference_text
 
 EXPECTED_HEADER = (
     "a,b,q,q_prime,h,k,cohomology_isomorphic,diffeomorphic,homotopy_equivalent"
@@ -213,6 +215,33 @@ class TestDumpsRecord:
         assert dumps_record(verdict) == json.dumps(record_from_verdict(verdict))
 
 
+def emitted(verdicts: list[ClassificationVerdict], fmt: str) -> str:
+    out = io.StringIO()
+    emit_records(verdicts, fmt, out)
+    return out.getvalue()
+
+
+class TestJsonArray:
+    @given(st.lists(schema_verdicts(), max_size=6))
+    @example([])
+    @example([ClassificationVerdict(1, 1, 1, 0, 1, 0, True, False, False)])
+    def test_matches_json_dumps(self, verdicts):
+        expected = json.dumps([record_from_verdict(v) for v in verdicts], indent=2) + "\n"
+        assert emitted(verdicts, "json") == expected
+
+
+class TestText:
+    def test_reference_columns_are_the_schema(self):
+        assert RECORD_KEYS == SCHEMA
+
+    @given(st.lists(schema_verdicts(), max_size=6))
+    @example([])
+    @example([ClassificationVerdict(10, 17, 0, 16, 4, 5, True, False, False),
+              ClassificationVerdict(10, 17, 0, 3, 4, 5, False, False, False, "x->x, y->x+y")])
+    def test_matches_per_cell_widths(self, verdicts):
+        assert emitted(verdicts, "text") == reference_text(verdicts)
+
+
 def per_pair_table_verdicts(a: int, b: int) -> list[ClassificationVerdict]:
     """table's verdicts built the old way: one classify call per pair."""
     return [
@@ -352,9 +381,18 @@ class TestCounterexamples:
         assert result.exit_code == 2
 
     def test_broken_construction_is_internal_error(self, runner, monkeypatch):
-        monkeypatch.setattr(arithmetic, "diffeo_criterion", lambda *args: True)
+        # k(a) = h(a) makes the two moduli equal, so the constructed pair is diffeomorphic
+        monkeypatch.setattr(arithmetic, "k_of", arithmetic.h_of)
         result = runner.invoke(main, ["counterexamples", "--a-max", "10", "--b-max", "17"])
         assert result.exit_code == 3
+        assert "not a counterexample" in result.stderr
+
+    def test_broken_cohomology_side_is_internal_error(self, runner, monkeypatch):
+        # no congruence ever holds, so the constructed pair is not cohomology-isomorphic
+        monkeypatch.setattr(arithmetic, "_congruent_to_q_or_complement", lambda *args: False)
+        result = runner.invoke(main, ["counterexamples", "--a-max", "10", "--b-max", "17"])
+        assert result.exit_code == 3
+        assert "not a counterexample" in result.stderr
 
 
 class TestReferenceDigests:
