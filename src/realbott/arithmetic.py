@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 from .gf2poly import LinearSubstitution
@@ -26,11 +27,13 @@ __all__ = [
     "rigidity_holds",
     "counterexample_pair",
     "counterexample_row",
+    "counterexample_cells",
     "binomial_rows_match",
     "ClassificationVerdict",
     "OracleDisagreement",
     "classify",
     "classify_row",
+    "criteria_row",
 ]
 
 
@@ -87,11 +90,18 @@ def cohomology_criterion(a: int, b: int, q: int, q_prime: int) -> bool:
     return _congruent_to_q_or_complement(b, q, q_prime, 2 ** h_of(a))
 
 
+def _diffeo_modulus(k: int, b: int) -> int:
+    """2^min(k, L), L = b.bit_length(): decides the criteria's congruences mod
+    2^k without building 2^k.  Their differences q' - q and q' - (b - q) lie in
+    [-b, b] and 2^L > b, so when k >= L both moduli divide exactly 0 there."""
+    return 1 << min(k, b.bit_length())
+
+
 def diffeo_criterion(a: int, b: int, q: int, q_prime: int) -> bool:
     """True iff the two manifolds are diffeomorphic:
     q' congruent to q or b - q modulo 2^k(a)."""
     _check_pair_ranges(a, b, q, q_prime)
-    return _congruent_to_q_or_complement(b, q, q_prime, 2 ** k_of(a))
+    return _congruent_to_q_or_complement(b, q, q_prime, _diffeo_modulus(k_of(a), b))
 
 
 # Homotopy equivalence holds exactly when diffeomorphism does; alias, not a
@@ -228,44 +238,52 @@ def classify(
     return verdict
 
 
-def classify_row(a: int, b: int, q: int) -> list[ClassificationVerdict]:
-    """classify(a, b, q, q') for every q <= q' <= b, in that order.
-
-    (a, b, q) is checked, and h(a), k(a) and both moduli are computed, once
-    for the row; each pair is still decided by the criteria's congruence and
-    checked by its own ClassificationVerdict.
-    """
+def criteria_row(a: int, b: int, q: int) -> tuple[int, int, list[tuple[bool, bool]]]:
+    """h(a), k(a) and (cohomology_isomorphic, diffeomorphic) of each pair
+    (q, q'), q <= q' <= b in that order.  (a, b, q) is checked, and both
+    moduli computed, once for the row; each pair is decided by the
+    criteria's congruence."""
     _check_pair_ranges(a, b, q, q)
     h, k = h_of(a), k_of(a)
-    cohomology_modulus, diffeo_modulus = 2 ** h, 2 ** k
-    row = []
-    for q_prime in range(q, b + 1):
-        diffeo = _congruent_to_q_or_complement(b, q, q_prime, diffeo_modulus)
+    q_primes, bs, qs = range(q, b + 1), repeat(b), repeat(q)
+    cohomology = map(_congruent_to_q_or_complement, bs, qs, q_primes, repeat(2 ** h))
+    diffeo = map(_congruent_to_q_or_complement, bs, qs, q_primes, repeat(_diffeo_modulus(k, b)))
+    return h, k, list(zip(cohomology, diffeo))
+
+
+def classify_row(a: int, b: int, q: int) -> list[ClassificationVerdict]:
+    """classify(a, b, q, q') for every q <= q' <= b, in that order: the
+    verdicts of criteria_row, each checked by its own ClassificationVerdict."""
+    h, k, truths = criteria_row(a, b, q)
+    return [
+        ClassificationVerdict(a, b, q, q_prime, h, k, cohomology, diffeo, diffeo)
+        for q_prime, (cohomology, diffeo) in enumerate(truths, q)
+    ]
+
+
+def counterexample_cells(a: int, b_max: int) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """h(a), k(a) and the cells (b, *counterexample_pair(a, b)) for every
+    b <= b_max where rigidity fails (b > 2^h(a)), in b order; none when
+    a <= 9.  a and b_max are checked, and both moduli computed, once for the
+    row; a constructed pair that the criteria's congruence does not make a
+    counterexample raises RuntimeError, as in counterexample_pair."""
+    _check_a(a)
+    _check_b(b_max, "b_max")
+    h, k = h_of(a), k_of(a)
+    cohomology_modulus, diffeo_modulus = 2 ** h, _diffeo_modulus(k, b_max)
+    cells = []
+    for b in range(min(_last_rigid_b(a, cohomology_modulus), b_max) + 1, b_max + 1):
+        q, q_prime = pair = _construction(b, cohomology_modulus)
         cohomology = _congruent_to_q_or_complement(b, q, q_prime, cohomology_modulus)
-        row.append(ClassificationVerdict(a, b, q, q_prime, h, k, cohomology, diffeo, diffeo))
-    return row
+        if not cohomology or _congruent_to_q_or_complement(b, q, q_prime, diffeo_modulus):
+            raise _not_a_counterexample(a, b, pair)
+        cells.append((b, q, q_prime))
+    return h, k, cells
 
 
 def counterexample_row(a: int, b_max: int) -> list[ClassificationVerdict]:
     """classify(a, b, *counterexample_pair(a, b)) for every b <= b_max where
-    rigidity fails, in b order; empty when a <= 9.
-
-    a and b_max are checked, and h(a), k(a) and both moduli are computed,
-    once for the row, which walks only the cells b > 2^h(a).  Each
-    constructed pair is decided by the criteria's congruence, raises
-    RuntimeError as counterexample_pair does when it is not a
-    counterexample, and is checked by its own ClassificationVerdict.
-    """
-    _check_a(a)
-    _check_b(b_max, "b_max")
-    h, k = h_of(a), k_of(a)
-    cohomology_modulus, diffeo_modulus = 2 ** h, 2 ** k
-    row = []
-    for b in range(min(_last_rigid_b(a, cohomology_modulus), b_max) + 1, b_max + 1):
-        q, q_prime = pair = _construction(b, cohomology_modulus)
-        cohomology = _congruent_to_q_or_complement(b, q, q_prime, cohomology_modulus)
-        diffeo = _congruent_to_q_or_complement(b, q, q_prime, diffeo_modulus)
-        if not cohomology or diffeo:
-            raise _not_a_counterexample(a, b, pair)
-        row.append(ClassificationVerdict(a, b, q, q_prime, h, k, cohomology, diffeo, diffeo))
-    return row
+    rigidity fails, in b order: the cells of counterexample_cells, each
+    checked by its own ClassificationVerdict."""
+    h, k, cells = counterexample_cells(a, b_max)
+    return [ClassificationVerdict(a, *cell, h, k, True, False, False) for cell in cells]

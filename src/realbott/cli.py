@@ -3,16 +3,19 @@
 Machine-readable output comes in three flavors (csv, json, jsonl) next to
 the default human-readable table.  Classification records always carry the
 same nine scalar fields, in a fixed order; the CSV header is bit-exact so
-downstream ingestion can rely on it.  Exit codes: 0 success, 1 the ring
-oracle and the congruence criterion disagree, 2 usage error, 3 internal
-error (with its traceback on stderr).
+downstream ingestion can rely on it.  table and counterexamples stream
+every format a row at a time (counterexamples' text holds its compact cells
+until the widths are known): each row's records are filled into one
+template per truth pattern, checked by one real ClassificationVerdict.
+Exit codes: 0 success, 1 the ring oracle and the congruence criterion
+disagree, 2 usage error, 3 internal error (with its traceback on stderr).
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import time
+from itertools import zip_longest
 from operator import attrgetter
 from typing import IO, Iterable
 
@@ -22,9 +25,11 @@ from .arithmetic import (
     ClassificationVerdict,
     OracleDisagreement,
     classify as classify_pair,
-    classify_row,
     cohomology_criterion,
-    counterexample_row,
+    counterexample_cells,
+    criteria_row,
+    h_of,
+    k_of,
 )
 from .cohomology import (
     RingPresentation,
@@ -73,89 +78,73 @@ _CSV_TEMPLATE = ",".join(["%s"] * len(SCHEMA)) + "\n"
 def _witness_member(witness, separator: str) -> str:
     """A record's witness member after separator, encoded by json.dumps;
     empty when there is no witness."""
-    return "" if witness is None else f'{separator}"witness": {json.dumps(str(witness))}'
+    if witness is None:
+        return ""
+    import json  # here, not at the top: only witnesses and sw need it
+
+    return f'{separator}"witness": {json.dumps(str(witness))}'
 
 
 def dumps_record(verdict: ClassificationVerdict) -> str:
-    """The one JSON encoder for records: the SCHEMA fields, in order, filled
-    into a fixed template, then the witness, if present, encoded by
-    json.dumps.  Gives the same bytes as json.dumps of the record's dict
-    without building the dict or an encoder.
-    """
-    return _RECORD_TEMPLATE % (*_fields(verdict), _witness_member(verdict.oracle_witness, ", "))
+    """A verdict's JSON record: the bytes of json.dumps of its dict (SCHEMA
+    fields in order, then any witness) without building the dict."""
+    return _record(verdict, "jsonl")[:-1]
 
 
-def _write_json(verdicts: list[ClassificationVerdict], out: IO[str]) -> None:
-    """The records as one indent=2 array, each filled into a fixed template
-    like dumps_record's and written as it is made: the same bytes as
-    json.dumps(records, indent=2), with no record or output string held."""
-    if not verdicts:
-        out.write("[]\n")
-        return
-    separator = "[\n"
-    for v in verdicts:
-        witness = _witness_member(v.oracle_witness, ",\n    ")
-        out.write(separator + _INDENTED_TEMPLATE % (*_fields(v), witness))
-        separator = ",\n"
-    out.write("\n]\n")
+def _record(v: ClassificationVerdict, fmt: str, columns=(), open_fields=slice(0)) -> str:
+    """v's record in fmt (text in the %-columns given), with the SCHEMA
+    fields in open_fields left as %s slots for the records that share every
+    other field with v.  A text slot keeps its column's width."""
+    fields, witness = list(_fields(v)), v.oracle_witness
+    if fmt == "text":
+        cells = [c % f for c, f in zip(columns, (*fields, "-" if witness is None else witness))]
+        cells[open_fields] = columns[open_fields]
+        return "  ".join(cells) + "\n"
+    fields[open_fields] = ["%s"] * len(fields[open_fields])
+    if fmt == "csv":
+        return _CSV_TEMPLATE % tuple(fields)
+    if fmt == "json":
+        return _INDENTED_TEMPLATE % (*fields, _witness_member(witness, ",\n    "))
+    return _RECORD_TEMPLATE % (*fields, _witness_member(witness, ", ")) + "\n"
 
 
-def _witness_cell(witness) -> str:
-    return "-" if witness is None else str(witness)
+def _text_columns(maxima: Iterable[int]) -> list[str]:
+    """The %-format of each SCHEMA column of a text table, from its int
+    columns' maxima.  Every int field is >= 0 (a, b >= 1, 0 <= q, q' <= b,
+    and h, k are counts), so str(max(column)) is an int column's longest
+    cell; every boolean column's name is longer than "false"."""
+    return [f"%{max(len(n), len(str(m)))}s" for n, m in zip_longest(SCHEMA, maxima, fillvalue=0)]
 
 
-def _write_text(verdicts: list[ClassificationVerdict], out: IO[str]) -> None:
-    """An aligned table, written line by line once each column's width is
-    known.  The witness column is there only if some verdict has one."""
-    names = list(SCHEMA)
-    # Every int field of a verdict is >= 0 (classify, classify_row and
-    # counterexample_row check a, b >= 1 and 0 <= q, q' <= b; h and k are
-    # counts), so an int column's longest cell is str(max(column)).  A
-    # boolean column's cells spell the values present in it.
-    longest = [str(max(map(attrgetter(key), verdicts), default=0)) for key in SCHEMA[:6]]
-    longest += [
-        max([_TRUTH[value] for value in set(map(attrgetter(key), verdicts))], key=len, default="")
-        for key in SCHEMA[6:]
-    ]
-    with_witness = any(v.oracle_witness is not None for v in verdicts)
-    if with_witness:
-        names.append("witness")
-        longest.append(max([_witness_cell(v.oracle_witness) for v in verdicts], key=len))
-    widths = [max(len(name), len(cell)) for name, cell in zip(names, longest)]
-    line = "  ".join(f"%{width}s" for width in widths) + "\n"
-    out.write(line % tuple(names))
-    for v in verdicts:
-        fields = _fields(v)
-        out.write(line % ((*fields, _witness_cell(v.oracle_witness)) if with_witness else fields))
+def _stream(rows: Iterable[Iterable[str]], fmt: str, out: IO[str], columns=(), names=SCHEMA):
+    """Write rows of records as one output: json as json.dumps(records,
+    indent=2) spells it, csv and text after their header.  The head goes out
+    with the first record, so a row that fails before then writes nothing."""
+    head = ("  ".join(columns) % tuple(names) + "\n" if fmt == "text"
+            else {"csv": _CSV_HEADER, "json": "[\n"}.get(fmt, ""))
+    separator, started = ",\n" if fmt == "json" else "", False
+    for row in rows:
+        body = separator.join(row)
+        if body:
+            out.write((separator if started else head) + body)
+            started = True
+    if fmt == "json":
+        out.write("\n]\n" if started else "[]\n")
+    elif not started:
+        out.write(head)
 
 
-def emit_records(
-    verdicts: list[ClassificationVerdict], fmt: str, out: IO[str], header: bool = True
-) -> None:
+def emit_records(verdicts: list[ClassificationVerdict], fmt: str, out: IO[str]) -> None:
     """Write the verdicts' records in the requested format, schema columns
-    first.  header=False leaves out the csv header line."""
-    if fmt == "jsonl":
-        out.write("".join([dumps_record(v) + "\n" for v in verdicts]))
-    elif fmt == "csv":
-        rows = "".join([_CSV_TEMPLATE % _fields(v) for v in verdicts])
-        out.write(_CSV_HEADER + rows if header else rows)
-    elif fmt == "json":
-        _write_json(verdicts, out)
-    else:
-        _write_text(verdicts, out)
-
-
-def _emit_rows(rows: Iterable[list[ClassificationVerdict]], fmt: str, out: IO[str]) -> None:
-    """Write rows of verdicts as one output.  jsonl and csv go out a row at a
-    time, after csv's fixed header; text and json need every verdict first,
-    so they hold the verdicts (never their records)."""
-    if fmt in ("jsonl", "csv"):
-        if fmt == "csv":
-            out.write(_CSV_HEADER)
-        for row in rows:
-            emit_records(row, fmt, out, header=False)
-    else:
-        emit_records([v for row in rows for v in row], fmt, out)
+    first; text has a witness column only if some verdict has a witness."""
+    columns, names = (), SCHEMA
+    if fmt == "text":
+        columns = _text_columns([max(map(attrgetter(k), verdicts), default=0) for k in SCHEMA[:6]])
+        witnesses = [len(str(v.oracle_witness)) for v in verdicts if v.oracle_witness is not None]
+        if witnesses:
+            names = (*SCHEMA, "witness")
+            columns.append(f"%{max(len('witness'), *witnesses)}s")
+    _stream([[_record(v, fmt, columns) for v in verdicts]], fmt, out, columns, names)
 
 
 def _validated_verdict(a, b, q, q_prime, with_oracle=False) -> ClassificationVerdict:
@@ -235,7 +224,23 @@ def _check_bounds(a: int, b: int) -> None:
 def table(a, b, fmt, out) -> None:
     """Classify every pair 0 <= q <= q' <= b for fixed (a, b)."""
     _check_bounds(a, b)
-    _emit_rows((classify_row(a, b, q) for q in range(b + 1)), fmt, out)
+    # every column's widest cell is known before the first row: the row q = b holds (b, b)
+    columns = _text_columns((a, b, b, b, h_of(a), k_of(a)))
+
+    def rows():
+        for q in range(b + 1):
+            h, k, truths = criteria_row(a, b, q)
+            # One real verdict per truth pattern of the row: __post_init__'s
+            # consistency check reads only the three booleans, so it checks
+            # every record rendered from that pattern's template.
+            templates = {}
+            for truth in set(truths):
+                q_prime = q + truths.index(truth)
+                verdict = ClassificationVerdict(a, b, q, q_prime, h, k, *truth, truth[1])
+                templates[truth] = _record(verdict, fmt, columns, slice(3, 4))  # q' varies
+            yield map(str.__mod__, map(templates.__getitem__, truths), range(q, b + 1))
+
+    _stream(rows(), fmt, out, columns)
 
 
 @main.command()
@@ -247,7 +252,22 @@ def counterexamples(a_max, b_max, fmt, out) -> None:
     """List, for each (a, b) in range where rigidity fails, a constructed
     pair with isomorphic cohomology but non-diffeomorphic manifolds."""
     _check_bounds(a_max, b_max)
-    _emit_rows((counterexample_row(a, b_max) for a in range(1, a_max + 1)), fmt, out)
+    rows = ((a, *counterexample_cells(a, b_max)) for a in range(1, a_max + 1))
+    rows, columns = (row for row in rows if row[3]), ()
+    if fmt == "text":  # the widths need every cell first: hold only the compact cells
+        rows = list(rows)
+        maxima = [(a, *map(max, zip(*cells)), h, k) for a, h, k, cells in rows]
+        columns = _text_columns(map(max, zip(*maxima)))
+
+    def rendered():
+        for a, h, k, cells in rows:
+            # every cell is a counterexample (counterexample_cells raises
+            # otherwise), so the row's records share one truth pattern
+            verdict = ClassificationVerdict(a, *cells[0], h, k, True, False, False)
+            template = _record(verdict, fmt, columns, slice(1, 4))  # b, q, q' vary
+            yield map(template.__mod__, cells)
+
+    _stream(rendered(), fmt, out, columns)
 
 
 def _parse_only(text: str) -> tuple[int, int]:
@@ -328,6 +348,8 @@ def sw(a, b, q, fmt, out) -> None:
         raise click.UsageError(str(exc)) from exc
     cls = str(total_sw_class(pres))
     if fmt == "json":
+        import json  # here, not at the top: only witnesses and sw need it
+
         out.write(json.dumps({"a": a, "b": b, "q": q, "sw_class": cls}) + "\n")
     else:
         out.write(f"w(a={a}, b={b}, q={q}) = {cls}\n")

@@ -112,6 +112,18 @@ class TestDiffeoCriterion:
                 assert diffeo_criterion(a, period + 1, 0, q_prime), (a, q_prime)
 
 
+    @pytest.mark.parametrize("a", [1, 2, 9, 10, 17, 33, 64, 100, 257])
+    def test_capped_modulus_matches_the_full_period(self, a):
+        # the criterion caps 2^k(a) at 2^L, L = b.bit_length(); compare with
+        # the uncapped congruence, over b that reach both sides of the cap
+        period = 2 ** k_of(a)
+        for b in {*range(1, 40), period - 1, period, period + 1} - {0}:
+            for q in {0, 1, b // 3, b - 1, b} - {-1}:
+                for q_prime in {0, 1, q, b - q, b // 2, b} - {-1}:
+                    expected = (q_prime - q) % period == 0 or (q_prime - b + q) % period == 0
+                    assert diffeo_criterion(a, b, q, q_prime) == expected, (b, q, q_prime)
+
+
 class TestHomotopyCriterion:
     def test_is_the_same_function(self):
         assert homotopy_criterion is diffeo_criterion

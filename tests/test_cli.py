@@ -1,11 +1,15 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realbott import arithmetic, cli, oracle
@@ -175,6 +179,31 @@ class TestClassify:
         assert record["cohomology_isomorphic"] is True
         assert record["witness"] == "x->x, y->x+y"
 
+    def test_huge_a_answers_in_bounded_memory(self):
+        # 2^k(a) has about a/2 bits; the criterion must never build it.  The
+        # address-space limit makes a regression fail fast in the child
+        # instead of exhausting the host's memory.
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from realbott.cli import main\n"
+            "main(sys.argv[1:])\n"
+        )
+        argv = ["classify", "--a", str(10**12), "--b", "3", "--q", "0", "--q-prime", "1",
+                "--format", "jsonl"]
+        src = str(Path(arithmetic.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        start = time.perf_counter()
+        result = subprocess.run([sys.executable, "-c", script, *argv],
+                                env=env, capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert result.returncode == 0, result.stderr
+        (record,) = records_of(result.stdout)
+        assert record["k"] == arithmetic.k_of(10**12) and record["h"] == 40
+        assert not record["cohomology_isomorphic"] and not record["diffeomorphic"]
+        assert elapsed < 2, elapsed
+
     def test_out_writes_file(self, runner, tmp_path):
         target = tmp_path / "record.csv"
         result = runner.invoke(
@@ -253,7 +282,12 @@ def per_pair_table_verdicts(a: int, b: int) -> list[ClassificationVerdict]:
 
 class TestTable:
     @pytest.mark.parametrize("fmt", FORMATS)
-    @pytest.mark.parametrize("a, b", [(1, 1), (2, 2), (10, 17), (9, 100), (64, 65)])
+    # (10, 64) and (17, 33) hold rows with all three truth patterns; in
+    # (10, 64) and (33, 1), b is a multiple of 2^h(a)
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1, 1), (2, 2), (10, 17), (9, 100), (64, 65), (1, 40), (33, 1), (10, 64), (17, 33)],
+    )
     def test_matches_per_pair_records(self, runner, a, b, fmt):
         verdicts = per_pair_table_verdicts(a, b)
         expected = io.StringIO()
@@ -265,6 +299,16 @@ class TestTable:
             assert result.output == "".join(
                 json.dumps(record_from_verdict(v)) + "\n" for v in verdicts
             )
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_inconsistent_verdict_is_internal_error(self, runner, monkeypatch, fmt):
+        # k(a) = 0 makes every pair diffeomorphic, so the first row already
+        # holds (0, 2): diffeomorphic but not cohomology-isomorphic at (10, 17)
+        monkeypatch.setattr(arithmetic, "k_of", lambda a: 0)
+        result = runner.invoke(main, ["table", "--a", "10", "--b", "17", "--format", fmt])
+        assert result.exit_code == 3
+        assert "refusing an inconsistent verdict" in result.stderr
+        assert result.stdout == ""
 
     def test_pair_count_and_order(self, runner):
         result = runner.invoke(
@@ -327,7 +371,9 @@ def per_cell_counterexample_verdicts(a_max: int, b_max: int) -> list[Classificat
 
 class TestCounterexamples:
     @pytest.mark.parametrize("fmt", FORMATS)
-    @pytest.mark.parametrize("a_max, b_max", [(10, 17), (10, 32), (11, 20), (9, 1000)])
+    @pytest.mark.parametrize(
+        "a_max, b_max", [(10, 17), (10, 32), (11, 20), (9, 1000), (64, 130)]
+    )
     def test_matches_per_cell_records(self, runner, a_max, b_max, fmt):
         verdicts = per_cell_counterexample_verdicts(a_max, b_max)
         expected = io.StringIO()
@@ -393,6 +439,41 @@ class TestCounterexamples:
         result = runner.invoke(main, ["counterexamples", "--a-max", "10", "--b-max", "17"])
         assert result.exit_code == 3
         assert "not a counterexample" in result.stderr
+
+
+def near(bound: int):
+    """Ints at and around a bound: negatives, 0, 1, the bound and one past it."""
+    return st.sampled_from([-(10**18), -1, 0, 1, bound, bound + 1]) | st.integers(-3, abs(bound) + 2)
+
+
+@st.composite
+def criteria_argv(draw) -> list[str]:
+    """argv of classify, table or counterexamples over the whole int domain,
+    with --b, --b-max and --a-max kept small so that outputs stay small."""
+    command = draw(st.sampled_from(["classify", "table", "counterexamples"]))
+    b = draw(near(12))
+    if command == "counterexamples":
+        argv = [command, "--a-max", str(draw(near(40))), "--b-max", str(draw(near(40)))]
+    else:
+        a = draw(near(12) | st.integers(-(10**18), 10**18))
+        argv = [command, "--a", str(a), "--b", str(b)]
+    if command == "classify":
+        argv += ["--q", str(draw(near(b))), "--q-prime", str(draw(near(b)))]
+    return argv + ["--format", draw(st.sampled_from(FORMATS))]
+
+
+class TestExitCodes:
+    @settings(deadline=None, max_examples=200)
+    @given(criteria_argv())
+    @example(["classify", "--a", str(10**18), "--b", "3", "--q", "0", "--q-prime", "3"])
+    @example(["table", "--a", str(10**18), "--b", "12", "--format", "text"])
+    @example(["counterexamples", "--a-max", "40", "--b-max", "40", "--format", "json"])
+    def test_valid_input_answers_and_invalid_input_is_usage_error(self, argv):
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code in (0, 2), (result.exit_code, result.output)
+        assert "Traceback" not in result.output
+        if result.exit_code == 2:
+            assert "Usage:" in result.stderr
 
 
 class TestReferenceDigests:
