@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 from .gf2poly import LinearSubstitution
@@ -33,7 +32,7 @@ __all__ = [
     "OracleDisagreement",
     "classify",
     "classify_row",
-    "criteria_row",
+    "criteria_runs",
 ]
 
 
@@ -79,8 +78,13 @@ def _check_pair_ranges(a: int, b: int, q: int, q_prime: int) -> None:
             raise ValueError(f"{name} must satisfy 0 <= {name} <= b={b}, got {value}")
 
 
+def _criterion_residues(b: int, q: int, modulus: int) -> tuple[int, int]:
+    """The residues mod modulus that the criteria's congruence allows q': those of q and b - q."""
+    return q % modulus, (b - q) % modulus
+
+
 def _congruent_to_q_or_complement(b: int, q: int, q_prime: int, modulus: int) -> bool:
-    return (q_prime - q) % modulus == 0 or (q_prime - (b - q)) % modulus == 0
+    return q_prime % modulus in _criterion_residues(b, q, modulus)
 
 
 def cohomology_criterion(a: int, b: int, q: int, q_prime: int) -> bool:
@@ -238,27 +242,33 @@ def classify(
     return verdict
 
 
-def criteria_row(a: int, b: int, q: int) -> tuple[int, int, list[tuple[bool, bool]]]:
-    """h(a), k(a) and (cohomology_isomorphic, diffeomorphic) of each pair
-    (q, q'), q <= q' <= b in that order.  (a, b, q) is checked, and both
-    moduli computed, once for the row; each pair is decided by the
-    criteria's congruence."""
+def criteria_runs(a: int, b: int, q: int) -> tuple[int, int, list[tuple]]:
+    """h(a), k(a) and, in order, the maximal runs (truth, start, stop) of q' in
+    [q, b] over which (cohomology_isomorphic, diffeomorphic) of (q, q') is truth.
+    (a, b, q) is checked, and both moduli computed, once for the row; each
+    criterion's progressions are found on their own, all else is (False, False)."""
     _check_pair_ranges(a, b, q, q)
     h, k = h_of(a), k_of(a)
-    q_primes, bs, qs = range(q, b + 1), repeat(b), repeat(q)
-    cohomology = map(_congruent_to_q_or_complement, bs, qs, q_primes, repeat(2 ** h))
-    diffeo = map(_congruent_to_q_or_complement, bs, qs, q_primes, repeat(_diffeo_modulus(k, b)))
-    return h, k, list(zip(cohomology, diffeo))
+    cohomology, diffeo = (  # each criterion's progressions, in O((b - q) / m) steps
+        {p for r in _criterion_residues(b, q, m) for p in range(q + (r - q) % m, b + 1, m)}
+        for m in (1 << h, _diffeo_modulus(k, b))
+    )
+    hits, runs = cohomology | diffeo, []
+    # the truth can change only at q, at a hit and just past one
+    for start in sorted({q, *hits, *(q_prime + 1 for q_prime in hits)} - {b + 1}):
+        truth = (start in cohomology, start in diffeo)
+        if not runs or runs[-1][0] != truth:
+            runs.append((truth, start))
+    stops = [start for _, start in runs[1:]] + [b + 1]
+    return h, k, [(truth, start, stop) for (truth, start), stop in zip(runs, stops)]
 
 
 def classify_row(a: int, b: int, q: int) -> list[ClassificationVerdict]:
-    """classify(a, b, q, q') for every q <= q' <= b, in that order: the
-    verdicts of criteria_row, each checked by its own ClassificationVerdict."""
-    h, k, truths = criteria_row(a, b, q)
-    return [
-        ClassificationVerdict(a, b, q, q_prime, h, k, cohomology, diffeo, diffeo)
-        for q_prime, (cohomology, diffeo) in enumerate(truths, q)
-    ]
+    """classify(a, b, q, q') for every q <= q' <= b, in that order: the runs of
+    criteria_runs expanded, each pair checked by its own ClassificationVerdict."""
+    h, k, runs = criteria_runs(a, b, q)
+    return [ClassificationVerdict(a, b, q, q_prime, h, k, cohomology, diffeo, diffeo)
+            for (cohomology, diffeo), start, stop in runs for q_prime in range(start, stop)]
 
 
 def counterexample_cells(a: int, b_max: int) -> tuple[int, int, list[tuple[int, int, int]]]:

@@ -5,8 +5,9 @@ the default human-readable table.  Classification records always carry the
 same nine scalar fields, in a fixed order; the CSV header is bit-exact so
 downstream ingestion can rely on it.  table and counterexamples stream
 every format a row at a time (counterexamples' text holds its compact cells
-until the widths are known): each row's records are filled into one
-template per truth pattern, checked by one real ClassificationVerdict.
+until the widths are known): a row is a few runs of records that share a
+template, each written with one str.join over preformatted cells; every
+template comes from one real, checked ClassificationVerdict.
 Exit codes: 0 success, 1 the ring oracle and the congruence criterion
 disagree, 2 usage error, 3 internal error (with its traceback on stderr).
 """
@@ -15,8 +16,8 @@ from __future__ import annotations
 
 import sys
 import time
-from itertools import zip_longest
-from operator import attrgetter
+from itertools import groupby, zip_longest
+from operator import attrgetter, itemgetter
 from typing import IO, Iterable
 
 import click
@@ -27,7 +28,7 @@ from .arithmetic import (
     classify as classify_pair,
     cohomology_criterion,
     counterexample_cells,
-    criteria_row,
+    criteria_runs,
     h_of,
     k_of,
 )
@@ -73,6 +74,7 @@ _RECORD_TEMPLATE = "{" + ", ".join(f'"{key}": %s' for key in SCHEMA) + "%s}"
 _INDENTED_TEMPLATE = "  {\n" + ",\n".join(f'    "{key}": %s' for key in SCHEMA) + "%s\n  }"
 _CSV_HEADER = ",".join(SCHEMA) + "\n"
 _CSV_TEMPLATE = ",".join(["%s"] * len(SCHEMA)) + "\n"
+_SEPARATOR = {"json": ",\n"}  # between two records; no other format has one
 
 
 def _witness_member(witness, separator: str) -> str:
@@ -108,6 +110,25 @@ def _record(v: ClassificationVerdict, fmt: str, columns=(), open_fields=slice(0)
     return _RECORD_TEMPLATE % (*fields, _witness_member(witness, ", ")) + "\n"
 
 
+def _slot(fmt: str, columns, field: int) -> str:
+    """The slot _record leaves for an open field; in text it keeps its width."""
+    return columns[field] if fmt == "text" else "%s"
+
+
+def _render_runs(runs, fmt: str, columns, field: int, cells: list[str], verdict_at) -> list[str]:
+    """Each run (key, start, stop) as one str.join of the records that hold
+    cells[start:stop] in SCHEMA field `field`.  A key's records come from the
+    template of one real, checked verdict_at(key, start), at its first run."""
+    parts = {}
+    for key, start, _ in runs:
+        if key not in parts:
+            template = _record(verdict_at(key, start), fmt, columns, slice(field, field + 1))
+            pre, suf = template.split(_slot(fmt, columns, field))
+            parts[key] = pre, suf + _SEPARATOR.get(fmt, "") + pre, suf
+    return [pre + joint.join(cells[start:stop]) + suf
+            for key, start, stop in runs for pre, joint, suf in [parts[key]]]
+
+
 def _text_columns(maxima: Iterable[int]) -> list[str]:
     """The %-format of each SCHEMA column of a text table, from its int
     columns' maxima.  Every int field is >= 0 (a, b >= 1, 0 <= q, q' <= b,
@@ -122,7 +143,7 @@ def _stream(rows: Iterable[Iterable[str]], fmt: str, out: IO[str], columns=(), n
     with the first record, so a row that fails before then writes nothing."""
     head = ("  ".join(columns) % tuple(names) + "\n" if fmt == "text"
             else {"csv": _CSV_HEADER, "json": "[\n"}.get(fmt, ""))
-    separator, started = ",\n" if fmt == "json" else "", False
+    separator, started = _SEPARATOR.get(fmt, ""), False
     for row in rows:
         body = separator.join(row)
         if body:
@@ -227,18 +248,13 @@ def table(a, b, fmt, out) -> None:
     # every column's widest cell is known before the first row: the row q = b holds (b, b)
     columns = _text_columns((a, b, b, b, h_of(a), k_of(a)))
 
+    cells = [_slot(fmt, columns, 3) % q_prime for q_prime in range(b + 1)]
+
     def rows():
         for q in range(b + 1):
-            h, k, truths = criteria_row(a, b, q)
-            # One real verdict per truth pattern of the row: __post_init__'s
-            # consistency check reads only the three booleans, so it checks
-            # every record rendered from that pattern's template.
-            templates = {}
-            for truth in set(truths):
-                q_prime = q + truths.index(truth)
-                verdict = ClassificationVerdict(a, b, q, q_prime, h, k, *truth, truth[1])
-                templates[truth] = _record(verdict, fmt, columns, slice(3, 4))  # q' varies
-            yield map(str.__mod__, map(templates.__getitem__, truths), range(q, b + 1))
+            h, k, runs = criteria_runs(a, b, q)
+            yield _render_runs(runs, fmt, columns, 3, cells, lambda truth, q_prime:
+                               ClassificationVerdict(a, b, q, q_prime, h, k, *truth, truth[1]))
 
     _stream(rows(), fmt, out, columns)
 
@@ -260,12 +276,16 @@ def counterexamples(a_max, b_max, fmt, out) -> None:
         columns = _text_columns(map(max, zip(*maxima)))
 
     def rendered():
-        for a, h, k, cells in rows:
-            # every cell is a counterexample (counterexample_cells raises
-            # otherwise), so the row's records share one truth pattern
-            verdict = ClassificationVerdict(a, *cells[0], h, k, True, False, False)
-            template = _record(verdict, fmt, columns, slice(1, 4))  # b, q, q' vary
-            yield map(template.__mod__, cells)
+        cells = []
+        for a, h, k, row in rows:
+            # every row ends at b_max; counterexample_cells has checked every cell
+            cells = cells or [_slot(fmt, columns, 1) % b for b in range(b_max + 1)]
+            runs = []  # of consecutive b with one construction (q, q')
+            for pair, run in groupby(row, itemgetter(1, 2)):
+                bs = [b for b, _, _ in run]
+                runs.append((pair, bs[0], bs[-1] + 1))
+            yield _render_runs(runs, fmt, columns, 1, cells, lambda pair, b:
+                               ClassificationVerdict(a, b, *pair, h, k, True, False, False))
 
     _stream(rendered(), fmt, out, columns)
 

@@ -14,6 +14,7 @@ from realbott.arithmetic import (
     classify,
     classify_row,
     cohomology_criterion,
+    criteria_runs,
     counterexample_pair,
     counterexample_row,
     diffeo_criterion,
@@ -392,3 +393,34 @@ class TestClassifyRow:
                             lambda self: checked.append(self) or original(self))
         row = classify_row(10, 17, 3)
         assert len(row) == 15 and checked == row
+
+
+class TestCriteriaRuns:
+    @pytest.mark.parametrize("a", [1, 2, 3, 10, 17, 33, 64, 65])
+    def test_runs_expand_to_the_pairwise_criteria(self, a):
+        h = h_of(a)
+        capped = 0  # rows whose diffeomorphism modulus is capped below 2^h(a)
+        for b in range(1, 71):
+            capped += b.bit_length() < h
+            for q in range(b + 1):
+                row_h, row_k, runs = criteria_runs(a, b, q)
+                assert (row_h, row_k) == (h, k_of(a))
+                # contiguous, in order, non-empty and maximal
+                starts = [start for _, start, _ in runs]
+                stops = [stop for _, _, stop in runs]
+                assert starts == [q, *stops[:-1]] and stops[-1] == b + 1, (b, q, runs)
+                assert all(start < stop for start, stop in zip(starts, stops))
+                assert all(left[0] != right[0] for left, right in zip(runs, runs[1:]))
+                expanded = [truth for truth, start, stop in runs for _ in range(start, stop)]
+                assert expanded == [
+                    (cohomology_criterion(a, b, q, q_prime), diffeo_criterion(a, b, q, q_prime))
+                    for q_prime in range(q, b + 1)
+                ], (b, q)
+        # a = 1 has modulus 1; from a = 3 on, the rows b < 2^(h-1) have their
+        # diffeomorphism modulus 2^L, L = b.bit_length(), capped below 2^h(a)
+        assert capped or a <= 2
+
+    @pytest.mark.parametrize("a, b, q", [(0, 5, 0), (5, 0, 0), (5, 5, -1), (5, 5, 6)])
+    def test_range_validation(self, a, b, q):
+        with pytest.raises(ValueError):
+            criteria_runs(a, b, q)

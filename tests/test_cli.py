@@ -271,6 +271,16 @@ class TestText:
         assert emitted(verdicts, "text") == reference_text(verdicts)
 
 
+def assert_same_output(actual: str, expected: str) -> None:
+    """actual == expected, reporting the first differing line first: a diff
+    of two long outputs takes pytest minutes to render."""
+    actual_lines, expected_lines = actual.splitlines(True), expected.splitlines(True)
+    for index, (got, want) in enumerate(zip(actual_lines, expected_lines)):
+        assert got == want, f"first difference at line {index}"
+    assert len(actual_lines) == len(expected_lines), "one output is a prefix of the other"
+    assert actual == expected
+
+
 def per_pair_table_verdicts(a: int, b: int) -> list[ClassificationVerdict]:
     """table's verdicts built the old way: one classify call per pair."""
     return [
@@ -294,11 +304,26 @@ class TestTable:
         emit_records(verdicts, fmt, expected)
         result = runner.invoke(main, ["table", "--a", str(a), "--b", str(b), "--format", fmt])
         assert result.exit_code == 0
-        assert result.output == expected.getvalue()
+        assert_same_output(result.output, expected.getvalue())
         if fmt == "jsonl":
-            assert result.output == "".join(
+            assert_same_output(result.output, "".join(
                 json.dumps(record_from_verdict(v)) + "\n" for v in verdicts
-            )
+            ))
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_every_rendered_pattern_is_checked(self, runner, monkeypatch, fmt):
+        checked = set()
+        original = ClassificationVerdict.__post_init__
+        monkeypatch.setattr(
+            ClassificationVerdict, "__post_init__",
+            lambda v: checked.add((v.q, (v.cohomology_isomorphic, v.diffeomorphic))) or original(v),
+        )
+        result = runner.invoke(main, ["table", "--a", "10", "--b", "64", "--format", fmt])
+        assert result.exit_code == 0
+        monkeypatch.undo()
+        present = {(v.q, (v.cohomology_isomorphic, v.diffeomorphic))
+                   for v in per_pair_table_verdicts(10, 64)}
+        assert checked == present
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_inconsistent_verdict_is_internal_error(self, runner, monkeypatch, fmt):
@@ -381,7 +406,7 @@ class TestCounterexamples:
         result = runner.invoke(main, ["counterexamples", "--a-max", str(a_max),
                                       "--b-max", str(b_max), "--format", fmt])
         assert result.exit_code == 0
-        assert result.output == expected.getvalue()
+        assert_same_output(result.output, expected.getvalue())
         if not verdicts:  # the rigid range
             empty = {"text": "  ".join(SCHEMA) + "\n", "csv": EXPECTED_HEADER + "\n",
                      "json": "[]\n", "jsonl": ""}
@@ -462,12 +487,34 @@ def criteria_argv(draw) -> list[str]:
     return argv + ["--format", draw(st.sampled_from(FORMATS))]
 
 
+MALFORMED_ONLY = ["", "a", "a=1", "a=1,b", "a=1,b=", "a=x,b=2", "a=1;b=2", "a==1,b=2",
+                  "a=1,,b=2", "a=1,a=2", "a=1,b=2,c=3", "A=1,B=2", "a=1.5,b=2", "a=1,b=2,"]
+
+
+@st.composite
+def engine_argv(draw) -> list[str]:
+    """argv of verify or sw over the whole int domain, with every grid and
+    ring kept small: --a-max, --b-max <= 4, --only cells with a, b <= 12 or
+    malformed, and sw with a, b <= 30."""
+    if draw(st.booleans()):
+        b = draw(near(28))
+        return ["sw", "--a", str(draw(near(28))), "--b", str(b), "--q", str(draw(near(b))),
+                "--format", draw(st.sampled_from(["text", "json"]))]
+    argv = ["verify", "--a-max", str(draw(near(2))), "--b-max", str(draw(near(2)))]
+    only = draw(st.none() | st.sampled_from(MALFORMED_ONLY) | st.text(max_size=7)
+                | st.builds("a={},b={}".format, near(10), near(10)))
+    return argv if only is None else [*argv, "--only", only]
+
+
 class TestExitCodes:
-    @settings(deadline=None, max_examples=200)
-    @given(criteria_argv())
+    @settings(deadline=None, max_examples=400)
+    @given(criteria_argv() | engine_argv())
     @example(["classify", "--a", str(10**18), "--b", "3", "--q", "0", "--q-prime", "3"])
     @example(["table", "--a", str(10**18), "--b", "12", "--format", "text"])
     @example(["counterexamples", "--a-max", "40", "--b-max", "40", "--format", "json"])
+    @example(["verify", "--a-max", "4", "--b-max", "4", "--only", "a=12,b=12"])
+    @example(["verify", "--a-max", "1", "--b-max", "1", "--only", "b=1,a=0"])
+    @example(["sw", "--a", "30", "--b", "30", "--q", "15", "--format", "json"])
     def test_valid_input_answers_and_invalid_input_is_usage_error(self, argv):
         result = CliRunner().invoke(main, argv)
         assert result.exit_code in (0, 2), (result.exit_code, result.output)
@@ -481,7 +528,9 @@ class TestReferenceDigests:
     perfbench/reference.json; a --help that drifts fails its warm-up, so no
     pass of the benchmark runs at all."""
 
-    @pytest.mark.parametrize("command", ["--help", "counterexamples --a-max 64 --b-max 512"])
+    @pytest.mark.parametrize("command", [
+        "--help", "counterexamples --a-max 64 --b-max 512", "table --a 64 --b 513 --format jsonl",
+    ])
     def test_stdout_matches_recorded_digest(self, runner, command):
         digests = json.loads(REFERENCE_DIGESTS.read_text())
         # click wraps help at 78 columns when stdout is not a terminal, as in
