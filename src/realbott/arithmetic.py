@@ -27,6 +27,7 @@ __all__ = [
     "counterexample_pair",
     "counterexample_row",
     "counterexample_cells",
+    "counterexample_maxima",
     "binomial_rows_match",
     "ClassificationVerdict",
     "OracleDisagreement",
@@ -289,6 +290,21 @@ def counterexample_cells(a: int, b_max: int) -> tuple[int, int, list[tuple[int, 
             raise _not_a_counterexample(a, b, pair)
         cells.append((b, q, q_prime))
     return h, k, cells
+
+
+def counterexample_maxima(a: int, b_max: int) -> Optional[tuple[int, ...]]:
+    """The largest (a, b, q, q', h, k) over the cells of counterexample_cells(a,
+    b_max), in O(1); None when there are none.  Those cells run over b in
+    (2^h(a), b_max], and _construction(b, m) is (1, m + 1) at a multiple of m,
+    (0, m) elsewhere: so the maxima are those of its pairs at b_max and at the
+    last multiple of m up to b_max, of those that are cells."""
+    h = h_of(a)  # checks a
+    _check_b(b_max, "b_max")
+    m = 1 << h
+    if b_max <= _last_rigid_b(a, m):
+        return None
+    pairs = [_construction(b, m) for b in (b_max, b_max - b_max % m) if b > m]
+    return (a, b_max, *map(max, zip(*pairs)), h, k_of(a))
 
 
 def counterexample_row(a: int, b_max: int) -> list[ClassificationVerdict]:

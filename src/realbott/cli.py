@@ -3,11 +3,12 @@
 Machine-readable output comes in three flavors (csv, json, jsonl) next to
 the default human-readable table.  Classification records always carry the
 same nine scalar fields, in a fixed order; the CSV header is bit-exact so
-downstream ingestion can rely on it.  table and counterexamples stream
-every format a row at a time (counterexamples' text holds its compact cells
-until the widths are known): a row is a few runs of records that share a
-template, each written with one str.join over preformatted cells; every
-template comes from one real, checked ClassificationVerdict.
+downstream ingestion can rely on it.  No command holds more than one row:
+table and counterexamples stream every format a row at a time (text widths
+come from closed-form maxima), and verify reads each cell's verdicts a row
+at a time.  A row is a few runs of records that share a template, each
+written with one str.join over preformatted cells; every template comes
+from one real, checked ClassificationVerdict.
 Exit codes: 0 success, 1 the ring oracle and the congruence criterion
 disagree, 2 usage error, 3 internal error (with its traceback on stderr).
 """
@@ -28,6 +29,7 @@ from .arithmetic import (
     classify as classify_pair,
     cohomology_criterion,
     counterexample_cells,
+    counterexample_maxima,
     criteria_runs,
     h_of,
     k_of,
@@ -268,16 +270,20 @@ def counterexamples(a_max, b_max, fmt, out) -> None:
     """List, for each (a, b) in range where rigidity fails, a constructed
     pair with isomorphic cohomology but non-diffeomorphic manifolds."""
     _check_bounds(a_max, b_max)
-    rows = ((a, *counterexample_cells(a, b_max)) for a in range(1, a_max + 1))
-    rows, columns = (row for row in rows if row[3]), ()
-    if fmt == "text":  # the widths need every cell first: hold only the compact cells
-        rows = list(rows)
-        maxima = [(a, *map(max, zip(*cells)), h, k) for a, h, k, cells in rows]
-        columns = _text_columns(map(max, zip(*maxima)))
+    # a row has cells only if 2^h(a) < b_max, and a <= 2^h(a): no a >= b_max has any
+    a_range, columns = range(1, min(a_max, b_max - 1) + 1), ()
+    if fmt == "text":  # each row's maxima come in closed form: no cell is held
+        maxima = [0] * 6
+        for a in a_range:
+            maxima = list(map(max, maxima, counterexample_maxima(a, b_max) or maxima))
+        columns = _text_columns(maxima)
 
     def rendered():
         cells = []
-        for a, h, k, row in rows:
+        for a in a_range:
+            h, k, row = counterexample_cells(a, b_max)
+            if not row:
+                continue
             # every row ends at b_max; counterexample_cells has checked every cell
             cells = cells or [_slot(fmt, columns, 1) % b for b in range(b_max + 1)]
             runs = []  # of consecutive b with one construction (q, q')
@@ -314,9 +320,9 @@ def verify(a_max, b_max, only, extended, out) -> None:
     """Machine-check the congruence criterion against the ring oracle on an
     exhaustive (a, b, q, q') grid.  Exits 1 on any mismatch."""
     _check_bounds(a_max, b_max)
-    cells = [_parse_only(only)] if only else [
+    cells = [_parse_only(only)] if only else (
         (a, b) for a in range(1, a_max + 1) for b in range(1, b_max + 1)
-    ]
+    )
     start = time.perf_counter()
     cases = 0
     mismatches = 0

@@ -23,7 +23,8 @@ equivalence relation, so cell_isomorphisms walks q = 0..b and searches
 ring q only against the class representatives found so far: on the first
 witness rep -> q it joins that class, and if every representative gives
 an exhaustive "no" it becomes a representative itself.  Every pair's
-verdict then follows, and stays proven:
+verdict then follows, one row q at a time (so a sweep holds the b + 1
+rings and one row, not the (b + 1)^2 verdicts), and stays proven:
   - same class: with witnesses w, w' from the representative to q and q',
     the map w' after w^-1 is an isomorphism q -> q'; it is composed and
     checked with is_graded_isomorphism, and a failed check is an internal
@@ -40,7 +41,7 @@ every pair is searched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .cohomology import RingPresentation, betti
 from .gf2poly import IDENTITY_SUBSTITUTION, LinearSubstitution, clmul, linear_power
@@ -164,18 +165,20 @@ def _compose(outer: LinearSubstitution, inner: LinearSubstitution) -> LinearSubs
     )]
 
 
-def cell_isomorphisms(a: int, b: int) -> list[list[IsoVerdict]]:
-    """The verdict for every pair of the cell: entry [q][q'] for M(q), M(q').
+def cell_isomorphisms(a: int, b: int) -> Iterator[list[IsoVerdict]]:
+    """The verdict for every pair of the cell, one row at a time: row q holds
+    entry [q'] for M(q), M(q'), so only the rings and one row are held.
 
     Searches each ring only against the class representatives found so far
     and infers the other pairs (the argument is in the module docstring);
     every inferred isomorphism carries a composed witness that
-    is_graded_isomorphism has accepted, and RuntimeError is raised if one
-    fails.  On the rows a = 1 and b = 1 every pair is searched.
+    is_graded_isomorphism has accepted, and RuntimeError is raised, before
+    its row is yielded, if one fails.  On the rows a = 1 and b = 1 every pair is searched.
     """
     rings = [RingPresentation(a, b, q) for q in range(b + 1)]
     if a == 1 or b == 1:
-        return [[rings_isomorphic_bruteforce(src, dst) for dst in rings] for src in rings]
+        yield from ([rings_isomorphic_bruteforce(src, dst) for dst in rings] for src in rings)
+        return
     representatives: list[RingPresentation] = []
     classes: list[int] = []  # the class of each q, by representative index
     witnesses: list[LinearSubstitution] = []  # representative -> q
@@ -190,7 +193,6 @@ def cell_isomorphisms(a: int, b: int) -> list[list[IsoVerdict]]:
             classes.append(len(representatives))
             representatives.append(ring)
             witnesses.append(IDENTITY_SUBSTITUTION)
-    verdicts = []
     for src, src_class, src_witness in zip(rings, classes, witnesses):
         inverse = _ADJUGATE[src_witness]
         row = []
@@ -205,5 +207,4 @@ def cell_isomorphisms(a: int, b: int) -> list[list[IsoVerdict]]:
                     f"M(q={src.q}) -> M(q={dst.q}) at a={a}, b={b}"
                 )
             row.append(IsoVerdict(True, composed))
-        verdicts.append(row)
-    return verdicts
+        yield row

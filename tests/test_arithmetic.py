@@ -15,6 +15,8 @@ from realbott.arithmetic import (
     classify_row,
     cohomology_criterion,
     criteria_runs,
+    counterexample_cells,
+    counterexample_maxima,
     counterexample_pair,
     counterexample_row,
     diffeo_criterion,
@@ -282,6 +284,25 @@ class TestCounterexampleRow:
                             lambda self: checked.append(self) or original(self))
         row = counterexample_row(10, 40)
         assert len(row) == 24 and checked == row
+
+
+class TestCounterexampleMaxima:
+    @pytest.mark.parametrize("a", [*range(1, 34), 63, 64, 65, 127, 128, 129])
+    def test_matches_the_maxima_of_the_cells(self, a):
+        # b_max at and around 2^h and 2 * 2^h, where the first cell and the
+        # first multiple of 2^h among the cells appear; a <= 9 or b_max <= 2^h
+        # is an empty row
+        m = 2 ** h_of(a)
+        b_maxima = {*range(1, 40), m - 1, m, m + 1, 2 * m - 1, 2 * m, 2 * m + 1, 3 * m, 3 * m + 1}
+        for b_max in b_maxima - {0}:
+            h, k, cells = counterexample_cells(a, b_max)
+            expected = (a, *map(max, zip(*cells)), h, k) if cells else None
+            assert counterexample_maxima(a, b_max) == expected, b_max
+
+    @pytest.mark.parametrize("a, b_max", [(0, 20), (10, 0)])
+    def test_range_validation(self, a, b_max):
+        with pytest.raises(ValueError):
+            counterexample_maxima(a, b_max)
 
 
 class TestBinomialRowsMatch:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from realbott.arithmetic import (
     counterexample_pair,
 )
 from realbott.gf2poly import IDENTITY_SUBSTITUTION
-from realbott.oracle import enumerate_substitutions
+from realbott.oracle import IsoVerdict, enumerate_substitutions
 from realbott.cli import FORMATS, SCHEMA, dumps_record, emit_records, main
 
 from _oracles import RECORD_KEYS, record_from_verdict, reference_text
@@ -397,7 +398,7 @@ def per_cell_counterexample_verdicts(a_max: int, b_max: int) -> list[Classificat
 class TestCounterexamples:
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize(
-        "a_max, b_max", [(10, 17), (10, 32), (11, 20), (9, 1000), (64, 130)]
+        "a_max, b_max", [(10, 17), (10, 32), (11, 20), (9, 1000), (64, 130), (130, 140), (128, 129)]
     )
     def test_matches_per_cell_records(self, runner, a_max, b_max, fmt):
         verdicts = per_cell_counterexample_verdicts(a_max, b_max)
@@ -474,11 +475,12 @@ def near(bound: int):
 @st.composite
 def criteria_argv(draw) -> list[str]:
     """argv of classify, table or counterexamples over the whole int domain,
-    with --b, --b-max and --a-max kept small so that outputs stay small."""
+    with --b and --b-max kept small so that outputs stay small."""
     command = draw(st.sampled_from(["classify", "table", "counterexamples"]))
     b = draw(near(12))
     if command == "counterexamples":
-        argv = [command, "--a-max", str(draw(near(40))), "--b-max", str(draw(near(40)))]
+        a_max = draw(near(40) | st.integers(-(10**18), 10**18))
+        argv = [command, "--a-max", str(a_max), "--b-max", str(draw(near(40)))]
     else:
         a = draw(near(12) | st.integers(-(10**18), 10**18))
         argv = [command, "--a", str(a), "--b", str(b)]
@@ -512,6 +514,7 @@ class TestExitCodes:
     @example(["classify", "--a", str(10**18), "--b", "3", "--q", "0", "--q-prime", "3"])
     @example(["table", "--a", str(10**18), "--b", "12", "--format", "text"])
     @example(["counterexamples", "--a-max", "40", "--b-max", "40", "--format", "json"])
+    @example(["counterexamples", "--a-max", str(10**18), "--b-max", "40", "--format", "text"])
     @example(["verify", "--a-max", "4", "--b-max", "4", "--only", "a=12,b=12"])
     @example(["verify", "--a-max", "1", "--b-max", "1", "--only", "b=1,a=0"])
     @example(["sw", "--a", "30", "--b", "30", "--q", "15", "--format", "json"])
@@ -610,6 +613,46 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--a-max", "1", "--b-max", "1"])
         assert result.exit_code == 1
         assert "MISMATCH" in result.output
+
+
+def traced_peaks(*argvs: list[str]) -> list[int]:
+    """The peak bytes tracemalloc sees while main runs each argv with --out
+    /dev/null (CliRunner would hold the whole output).  The last argv runs
+    once untraced first, so that lazy imports and caches count in none."""
+    main([*argvs[-1], "--out", os.devnull], standalone_mode=False)
+    peaks = []
+    for argv in argvs:
+        tracemalloc.start()
+        try:
+            main([*argv, "--out", os.devnull], standalone_mode=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+class TestBoundedMemory:
+    """A sweep holds one row at a time, never the whole sweep."""
+
+    def test_counterexamples_text_holds_one_row(self):
+        # a row of 1024 cells; 8 times as many rows must not raise the peak
+        few, many = traced_peaks(*(["counterexamples", "--a-max", a_max, "--b-max", "1024"]
+                                   for a_max in ("16", "128")))
+        assert many < 1.5 * few, (few, many)
+
+    def test_verify_holds_one_row_of_verdicts(self):
+        # the b + 1 rings and one row grow linearly in b, the (b + 1)^2
+        # verdicts of a whole cell quadratically: 4 times b, 16 times as many
+        small, large = traced_peaks(*(["verify", "--only", f"a=10,b={b}"] for b in (50, 200)))
+        assert large < 1.5 * 4 * small, (small, large)
+
+    def test_verify_grid_holds_no_list_of_cells(self, monkeypatch):
+        # one cheap row per cell, so that only the grid itself could grow
+        monkeypatch.setattr(cli, "cell_isomorphisms",
+                            lambda a, b: iter([[IsoVerdict(True, IDENTITY_SUBSTITUTION)]]))
+        few, many = traced_peaks(*(["verify", "--a-max", "1", "--b-max", b_max]
+                                   for b_max in ("1000", "10000")))
+        assert many < 1.5 * few, (few, many)
 
 
 class TestSW:

@@ -211,7 +211,7 @@ class TestCellIsomorphisms:
         # witness, searched or composed, is an isomorphism
         for b in range(1, 13):
             rings = [RingPresentation(a, b, q) for q in range(b + 1)]
-            verdicts = cell_isomorphisms(a, b)
+            verdicts = list(cell_isomorphisms(a, b))
             assert len(verdicts) == b + 1
             for src, row in zip(rings, verdicts):
                 assert len(row) == b + 1
@@ -243,7 +243,7 @@ class TestCellIsomorphisms:
         identity = {subst: IDENTITY_SUBSTITUTION for subst in enumerate_substitutions()}
         monkeypatch.setattr(oracle, "_ADJUGATE", identity)
         with pytest.raises(RuntimeError, match="composed witness"):
-            cell_isomorphisms(10, 17)
+            list(cell_isomorphisms(10, 17))
 
     def test_adjugate_inverts_exactly_the_invertible_substitutions(self):
         invertible = 0
