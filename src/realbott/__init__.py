@@ -5,15 +5,12 @@ from .arithmetic import (
     ClassificationVerdict,
     OracleDisagreement,
     classify,
-    classify_row,
     cohomology_criterion,
     counterexample_pair,
-    counterexample_row,
     diffeo_criterion,
     h_of,
     homotopy_criterion,
     k_of,
-    binomial_rows_match,
     rigidity_holds,
 )
 from .cohomology import (
@@ -22,22 +19,18 @@ from .cohomology import (
     betti,
     nonvanishing_check,
     normal_form,
-    relation_polys,
     total_sw_class,
 )
 from .gf2poly import (
     COMPLEMENT_SUBSTITUTION,
     IDENTITY_SUBSTITUTION,
-    SWAP_SUBSTITUTION,
     LinearSubstitution,
     PolyGF2,
-    binom_mod2,
     substitute_linear,
 )
 from .oracle import (
     IsoVerdict,
     cell_isomorphisms,
-    enumerate_substitutions,
     induces_homomorphism,
     is_graded_isomorphism,
     rings_isomorphic_bruteforce,
@@ -47,22 +40,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PolyGF2",
-    "binom_mod2",
     "substitute_linear",
     "LinearSubstitution",
     "IDENTITY_SUBSTITUTION",
-    "SWAP_SUBSTITUTION",
     "COMPLEMENT_SUBSTITUTION",
     "RingPresentation",
     "RingElement",
-    "relation_polys",
     "normal_form",
     "nonvanishing_check",
     "betti",
     "total_sw_class",
     "IsoVerdict",
     "cell_isomorphisms",
-    "enumerate_substitutions",
     "induces_homomorphism",
     "is_graded_isomorphism",
     "rings_isomorphic_bruteforce",
@@ -73,10 +62,7 @@ __all__ = [
     "homotopy_criterion",
     "rigidity_holds",
     "counterexample_pair",
-    "counterexample_row",
-    "binomial_rows_match",
     "ClassificationVerdict",
     "OracleDisagreement",
     "classify",
-    "classify_row",
 ]

@@ -25,14 +25,11 @@ __all__ = [
     "homotopy_criterion",
     "rigidity_holds",
     "counterexample_pair",
-    "counterexample_row",
     "counterexample_cells",
     "counterexample_maxima",
-    "binomial_rows_match",
     "ClassificationVerdict",
     "OracleDisagreement",
     "classify",
-    "classify_row",
     "criteria_runs",
 ]
 
@@ -154,24 +151,6 @@ def counterexample_pair(a: int, b: int) -> Optional[tuple[int, int]]:
     return pair
 
 
-def binomial_rows_match(a: int, q: int, q_prime: int) -> bool:
-    """Whether C(q', i) and C(q, i) agree mod 2 for every i < a.
-
-    Equivalent to q' congruent to q modulo 2^h(a); the equivalence itself
-    is a verified property, this computes the binomial side.
-    """
-    _check_a(a)
-    if q < 0 or q_prime < 0:
-        raise ValueError("q and q_prime must be non-negative")
-    for i in range(a):
-        # C(n, i) mod 2 by digit domination, with C(n, i) = 0 for i > n
-        left = i <= q and i & ~q == 0
-        right = i <= q_prime and i & ~q_prime == 0
-        if left != right:
-            return False
-    return True
-
-
 @dataclass(slots=True)
 class ClassificationVerdict:
     """Everything the theorems say about one pair (q, q') for fixed (a, b)."""
@@ -264,14 +243,6 @@ def criteria_runs(a: int, b: int, q: int) -> tuple[int, int, list[tuple]]:
     return h, k, [(truth, start, stop) for (truth, start), stop in zip(runs, stops)]
 
 
-def classify_row(a: int, b: int, q: int) -> list[ClassificationVerdict]:
-    """classify(a, b, q, q') for every q <= q' <= b, in that order: the runs of
-    criteria_runs expanded, each pair checked by its own ClassificationVerdict."""
-    h, k, runs = criteria_runs(a, b, q)
-    return [ClassificationVerdict(a, b, q, q_prime, h, k, cohomology, diffeo, diffeo)
-            for (cohomology, diffeo), start, stop in runs for q_prime in range(start, stop)]
-
-
 def counterexample_cells(a: int, b_max: int) -> tuple[int, int, list[tuple[int, int, int]]]:
     """h(a), k(a) and the cells (b, *counterexample_pair(a, b)) for every
     b <= b_max where rigidity fails (b > 2^h(a)), in b order; none when
@@ -305,11 +276,3 @@ def counterexample_maxima(a: int, b_max: int) -> Optional[tuple[int, ...]]:
         return None
     pairs = [_construction(b, m) for b in (b_max, b_max - b_max % m) if b > m]
     return (a, b_max, *map(max, zip(*pairs)), h, k_of(a))
-
-
-def counterexample_row(a: int, b_max: int) -> list[ClassificationVerdict]:
-    """classify(a, b, *counterexample_pair(a, b)) for every b <= b_max where
-    rigidity fails, in b order: the cells of counterexample_cells, each
-    checked by its own ClassificationVerdict."""
-    h, k, cells = counterexample_cells(a, b_max)
-    return [ClassificationVerdict(a, *cell, h, k, True, False, False) for cell in cells]

@@ -89,12 +89,6 @@ def _witness_member(witness, separator: str) -> str:
     return f'{separator}"witness": {json.dumps(str(witness))}'
 
 
-def dumps_record(verdict: ClassificationVerdict) -> str:
-    """A verdict's JSON record: the bytes of json.dumps of its dict (SCHEMA
-    fields in order, then any witness) without building the dict."""
-    return _record(verdict, "jsonl")[:-1]
-
-
 def _record(v: ClassificationVerdict, fmt: str, columns=(), open_fields=slice(0)) -> str:
     """v's record in fmt (text in the %-columns given), with the SCHEMA
     fields in open_fields left as %s slots for the records that share every

@@ -27,7 +27,6 @@ from .gf2poly import (
     COMPLEMENT_SUBSTITUTION,
     PolyGF2,
     clmul,
-    format_terms,
     linear_power,
     sierpinski_row,
     substitute_linear,
@@ -70,10 +69,6 @@ class RingPresentation:
         """Largest degree with a nonzero graded piece: a + b - 2."""
         return self.a + self.b - 2
 
-    def basis(self, d: int) -> list[tuple[int, int]]:
-        """Basis monomials x^i y^j of degree d, ordered by increasing i."""
-        return [(i, d - i) for i in range(self.a) if 0 <= d - i < self.b]
-
     def reduce(self, mask: int, d: int) -> int:
         """Normal form of the degree-d piece mask, as a mask on the basis.
 
@@ -93,22 +88,30 @@ class RingPresentation:
 
 @dataclass(frozen=True)
 class RingElement:
-    """A ring element in normal form: coefficients over the monomial basis."""
+    """A ring element in normal form: masks[d] is its reduced degree-d piece,
+    on the basis bits of pres.reduce, with trailing zero pieces trimmed."""
 
     pres: RingPresentation
-    coeffs: frozenset[tuple[int, int]]
+    masks: tuple[int, ...]
 
     def __post_init__(self):
-        for i, j in self.coeffs:
-            if not (0 <= i < self.pres.a and 0 <= j < self.pres.b):
-                raise ValueError(f"monomial {(i, j)} outside the basis of {self.pres}")
+        if self.masks and not self.masks[-1]:
+            raise ValueError(f"untrimmed pieces {self.masks}")
+        for d, mask in enumerate(self.masks):
+            if mask >> d + 1 or self.pres.reduce(mask, d) != mask:
+                raise ValueError(f"degree-{d} piece {mask:#b} not in normal form for {self.pres}")
+
+    @property
+    def coeffs(self) -> frozenset[tuple[int, int]]:
+        """The basis monomials (i, j) whose coefficient is 1."""
+        return self.lift().terms
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.masks)
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check_compatible(other)
-        return RingElement(self.pres, self.coeffs ^ other.coeffs)
+        return normal_form(self.lift() + other.lift(), self.pres)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check_compatible(other)
@@ -122,23 +125,16 @@ class RingElement:
 
     def lift(self) -> PolyGF2:
         """The basis representative as an honest polynomial."""
-        return PolyGF2(self.coeffs)
+        return PolyGF2.from_masks(self.masks)
 
     def __str__(self) -> str:
-        return format_terms(self.coeffs)
-
-
-def relation_polys(pres: RingPresentation) -> tuple[PolyGF2, PolyGF2]:
-    """The two ideal generators (x^a, expansion of (x+y)^q y^(b-q))."""
-    rel1 = PolyGF2.monomial(pres.a, 0)
-    rel2 = PolyGF2.from_masks([0] * pres.b + [sierpinski_row(pres.q)])
-    return rel1, rel2
+        return str(self.lift())
 
 
 def normal_form(p: PolyGF2, pres: RingPresentation) -> RingElement:
     """Reduce a polynomial to the unique representative on the basis."""
     reduced = PolyGF2.from_masks(pres.reduce(mask, d) for d, mask in enumerate(p.masks))
-    return RingElement(pres, reduced.terms)
+    return RingElement(pres, reduced.masks)
 
 
 def nonvanishing_check(pres: RingPresentation) -> tuple[bool, bool]:

@@ -11,18 +11,6 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Iterator
 
-def binom_mod2(n: int, m: int) -> int:
-    """Binomial coefficient C(n, m) mod 2; 0 when m < 0 or m > n.
-
-    Uses the digit-domination criterion: C(n, m) is odd iff every binary
-    digit of m is dominated by the corresponding digit of n.  Validated
-    against a Pascal-triangle oracle in the test suite.
-    """
-    if m < 0 or m > n:
-        return 0
-    return int(m & ~n == 0)
-
-
 def sierpinski_row(n: int) -> int:
     """(x+y)^n as a degree-n mask, whose bits are the submasks of n (Lucas).
 
@@ -94,14 +82,6 @@ class PolyGF2:
         object.__setattr__(poly, "masks", tuple(masks))
         return poly
 
-    @classmethod
-    def monomial(cls, i: int, j: int) -> "PolyGF2":
-        return cls([(i, j)])
-
-    @classmethod
-    def one(cls) -> "PolyGF2":
-        return cls([(0, 0)])
-
     @property
     def terms(self) -> frozenset[tuple[int, int]]:
         """The exponent pairs (i, j) whose monomial x^i y^j has coefficient 1."""
@@ -131,7 +111,7 @@ class PolyGF2:
     def __pow__(self, n: int) -> "PolyGF2":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = PolyGF2.one()
+        result = PolyGF2.from_masks([1])
         base = self
         while n:
             if n & 1:
@@ -145,13 +125,20 @@ class PolyGF2:
         return len(self.masks) - 1
 
     def __str__(self) -> str:
-        return format_terms(self.terms)
-
-
-X = PolyGF2.monomial(1, 0)
-Y = PolyGF2.monomial(0, 1)
-ONE = PolyGF2.one()
-ZERO = PolyGF2()
+        """Human-readable sum of monomials, graded order, '0' when zero."""
+        parts = []
+        for i, j in sorted(self.terms, key=lambda t: (t[0] + t[1], t[1])):
+            factors = []
+            if i == 1:
+                factors.append("x")
+            elif i > 1:
+                factors.append(f"x^{i}")
+            if j == 1:
+                factors.append("y")
+            elif j > 1:
+                factors.append(f"y^{j}")
+            parts.append("*".join(factors) if factors else "1")
+        return " + ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -181,7 +168,6 @@ class LinearSubstitution:
 
 
 IDENTITY_SUBSTITUTION = LinearSubstitution((1, 0), (0, 1))
-SWAP_SUBSTITUTION = LinearSubstitution((0, 1), (1, 0))
 # fixes x, sends y to x + y: realizes the q <-> b - q equivalence
 COMPLEMENT_SUBSTITUTION = LinearSubstitution((1, 0), (1, 1))
 
@@ -202,20 +188,3 @@ def substitute_linear(p: PolyGF2, subst: LinearSubstitution) -> PolyGF2:
             image ^= clmul(linear_power(fx, i), linear_power(fy, d - i))
         images.append(image)
     return PolyGF2.from_masks(images)
-
-
-def format_terms(terms: Iterable[tuple[int, int]]) -> str:
-    """Human-readable sum of monomials, graded order, '0' when empty."""
-    parts = []
-    for i, j in sorted(terms, key=lambda t: (t[0] + t[1], t[1])):
-        factors = []
-        if i == 1:
-            factors.append("x")
-        elif i > 1:
-            factors.append(f"x^{i}")
-        if j == 1:
-            factors.append("y")
-        elif j > 1:
-            factors.append(f"y^{j}")
-        parts.append("*".join(factors) if factors else "1")
-    return " + ".join(parts) if parts else "0"

@@ -49,7 +49,6 @@ from .gf2poly import IDENTITY_SUBSTITUTION, LinearSubstitution, clmul, linear_po
 __all__ = [
     "IsoVerdict",
     "cell_isomorphisms",
-    "enumerate_substitutions",
     "induces_homomorphism",
     "is_graded_isomorphism",
     "rings_isomorphic_bruteforce",
@@ -82,11 +81,6 @@ _ADJUGATE = {
     for subst in _SUBSTITUTIONS
 }
 _NOT_ISOMORPHIC = IsoVerdict(False)
-
-
-def enumerate_substitutions() -> list[LinearSubstitution]:
-    """All 16 maps sending x, y to linear forms in {0, x, y, x+y}."""
-    return list(_SUBSTITUTIONS)
 
 
 def _check_same_shape(src: RingPresentation, dst: RingPresentation) -> None:
@@ -148,8 +142,9 @@ def is_graded_isomorphism(
 def rings_isomorphic_bruteforce(
     src: RingPresentation, dst: RingPresentation
 ) -> IsoVerdict:
-    """Search the 16 substitutions in enumerate_substitutions() order and
-    return the first working witness, if any."""
+    """Search the 16 substitutions x -> L1, y -> L2, L1 the outer loop and
+    each form in the order 0, y, x, x+y, and return the first working
+    witness, if any."""
     _check_same_shape(src, dst)
     for subst in _SUBSTITUTIONS:
         if is_graded_isomorphism(subst, src, dst):

@@ -4,9 +4,50 @@ Everything here deliberately avoids the library's own shortcuts: binomial
 parity comes from the Pascal recurrence, ranks from a plain dense Gaussian
 elimination over 0/1 lists, and the ideal is handled as explicit degree
 slices rather than through the rewriting engine.
+
+Some helpers the library does not need live here too, so that the tests
+keep them: binom_mod2 and binomial_rows_match (binomial parity by digit
+domination), relation_polys and basis (the ideal's generators and the
+monomial basis of a presentation), SWAP_SUBSTITUTION and substitutions()
+(the oracle's 16 maps, in its search order), classify_row and
+counterexample_row (the library's criteria_runs and counterexample_cells
+expanded into verdicts), and dumps_record (one jsonl record).
 """
 
 from __future__ import annotations
+
+import io
+
+from realbott.arithmetic import ClassificationVerdict, counterexample_cells, criteria_runs
+from realbott.cli import emit_records
+from realbott.gf2poly import LinearSubstitution, PolyGF2
+
+
+def binom_mod2(n: int, m: int) -> int:
+    """Binomial coefficient C(n, m) mod 2; 0 when m < 0 or m > n.
+
+    By digit domination: C(n, m) is odd iff every binary digit of m is
+    dominated by the corresponding digit of n.
+    """
+    if m < 0 or m > n:
+        return 0
+    return int(m & ~n == 0)
+
+
+def binomial_rows_match(a: int, q: int, q_prime: int) -> bool:
+    """Whether C(q', i) and C(q, i) agree mod 2 for every i < a, the binomial
+    side of the equivalence with q' congruent to q modulo 2^h(a)."""
+    if a < 1:
+        raise ValueError(f"a must be a positive integer, got {a}")
+    if q < 0 or q_prime < 0:
+        raise ValueError("q and q_prime must be non-negative")
+    for i in range(a):
+        # C(n, i) mod 2 by digit domination, with C(n, i) = 0 for i > n
+        left = i <= q and i & ~q == 0
+        right = i <= q_prime and i & ~q_prime == 0
+        if left != right:
+            return False
+    return True
 
 
 def pascal_mod2_rows(n_max: int) -> list[list[int]]:
@@ -68,6 +109,19 @@ def ideal_degree_slice(a: int, b: int, q: int, d: int) -> list[list[int]]:
     return rows
 
 
+def relation_polys(pres) -> tuple[PolyGF2, PolyGF2]:
+    """The two ideal generators of pres: x^a, and (x+y)^q y^(b-q) expanded
+    with Pascal-recurrence binomials."""
+    binom = pascal_mod2_rows(pres.q)[pres.q]
+    rel2 = PolyGF2((i, pres.b - i) for i in range(pres.q + 1) if binom[i])
+    return PolyGF2([(pres.a, 0)]), rel2
+
+
+def basis(pres, d: int) -> list[tuple[int, int]]:
+    """Basis monomials x^i y^j (i < a, j < b) of degree d, by increasing i."""
+    return [(i, d - i) for i in range(pres.a) if 0 <= d - i < pres.b]
+
+
 def monomial_vector(i: int, d: int) -> list[int]:
     """The degree-d monomial x^i y^(d-i) in ambient coordinates."""
     vec = [0] * (d + 1)
@@ -102,6 +156,14 @@ def substitute_terms(terms, x_image, y_image) -> frozenset:
 
 
 LINEAR_FORMS = ((0, 0), (0, 1), (1, 0), (1, 1))  # 0, y, x, x+y as (cx, cy)
+SWAP_SUBSTITUTION = LinearSubstitution((0, 1), (1, 0))
+
+
+def substitutions() -> list[LinearSubstitution]:
+    """The 16 maps x -> x_image, y -> y_image, in the order the oracle
+    searches them: x_image the outer loop over LINEAR_FORMS."""
+    return [LinearSubstitution(x_image, y_image)
+            for x_image in LINEAR_FORMS for y_image in LINEAR_FORMS]
 
 
 def _degree_vector(terms, d: int) -> list[int]:
@@ -208,3 +270,26 @@ def reference_text(verdicts) -> str:
     rows = [names, *map(cells, verdicts)]
     widths = [max(len(row[i]) for row in rows) for i in range(len(names))]
     return "".join("  ".join(map(str.rjust, row, widths)) + "\n" for row in rows)
+
+
+def classify_row(a: int, b: int, q: int) -> list:
+    """classify(a, b, q, q') for every q <= q' <= b, in that order: the runs of
+    criteria_runs expanded, each pair checked by its own ClassificationVerdict."""
+    h, k, runs = criteria_runs(a, b, q)
+    return [ClassificationVerdict(a, b, q, q_prime, h, k, cohomology, diffeo, diffeo)
+            for (cohomology, diffeo), start, stop in runs for q_prime in range(start, stop)]
+
+
+def counterexample_row(a: int, b_max: int) -> list:
+    """classify(a, b, *counterexample_pair(a, b)) for every b <= b_max where
+    rigidity fails, in b order: the cells of counterexample_cells, each
+    checked by its own ClassificationVerdict."""
+    h, k, cells = counterexample_cells(a, b_max)
+    return [ClassificationVerdict(a, *cell, h, k, True, False, False) for cell in cells]
+
+
+def dumps_record(verdict) -> str:
+    """A verdict's record as emit_records writes it in jsonl, without the newline."""
+    out = io.StringIO()
+    emit_records([verdict], "jsonl", out)
+    return out.getvalue()[:-1]

@@ -21,10 +21,16 @@ from realbott.arithmetic import (
     counterexample_pair,
 )
 from realbott.gf2poly import IDENTITY_SUBSTITUTION
-from realbott.oracle import IsoVerdict, enumerate_substitutions
-from realbott.cli import FORMATS, SCHEMA, dumps_record, emit_records, main
+from realbott.oracle import IsoVerdict
+from realbott.cli import FORMATS, SCHEMA, emit_records, main
 
-from _oracles import RECORD_KEYS, record_from_verdict, reference_text
+from _oracles import (
+    RECORD_KEYS,
+    dumps_record,
+    record_from_verdict,
+    reference_text,
+    substitutions,
+)
 
 EXPECTED_HEADER = (
     "a,b,q,q_prime,h,k,cohomology_isomorphic,diffeomorphic,homotopy_equivalent"
@@ -232,7 +238,7 @@ def schema_verdicts(draw):
     ints = [draw(schema_ints) for _ in range(6)]
     cohomology, diffeo = draw(consistent_truths)
     # any witness is rendered through str(): real substitutions, and text that needs escaping
-    witness = draw(st.none() | st.sampled_from(enumerate_substitutions()) | witness_text)
+    witness = draw(st.none() | st.sampled_from(substitutions()) | witness_text)
     return ClassificationVerdict(*ints, cohomology, diffeo, diffeo, witness)
 
 
@@ -598,7 +604,7 @@ class TestVerify:
 
     def test_failed_composed_witness_is_internal_error(self, runner, monkeypatch):
         # a composed witness that fails its check is a fault, not a mismatch
-        identity = {subst: IDENTITY_SUBSTITUTION for subst in enumerate_substitutions()}
+        identity = {subst: IDENTITY_SUBSTITUTION for subst in substitutions()}
         monkeypatch.setattr(oracle, "_ADJUGATE", identity)
         result = runner.invoke(main, ["verify", "--only", "a=10,b=17"])
         assert result.exit_code == 3

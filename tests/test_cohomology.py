@@ -10,22 +10,23 @@ from realbott.cohomology import (
     nonvanishing_check,
     nonvanishing_failures,
     normal_form,
-    relation_polys,
     sw_swap_failures,
     total_sw_class,
 )
 from realbott.gf2poly import COMPLEMENT_SUBSTITUTION, PolyGF2, substitute_linear
 
 from _oracles import (
+    basis,
     dense_rank_gf2,
     ideal_degree_slice,
     in_row_span_gf2,
     monomial_vector,
+    relation_polys,
 )
 
 
 def mono(i, j):
-    return PolyGF2.monomial(i, j)
+    return PolyGF2([(i, j)])
 
 
 def all_presentations(a_max, b_max):
@@ -57,7 +58,7 @@ class TestPresentation:
         assert pres.top_degree == 5
 
     def test_basis_listing(self):
-        assert RingPresentation(3, 2, 1).basis(2) == [(1, 1), (2, 0)]
+        assert basis(RingPresentation(3, 2, 1), 2) == [(1, 1), (2, 0)]
 
 
 class TestRelationPolys:
@@ -77,7 +78,7 @@ class TestRelationPolys:
     @pytest.mark.parametrize("pres", list(all_presentations(6, 6)))
     def test_matches_explicit_expansion(self, pres):
         x_plus_y = PolyGF2([(1, 0), (0, 1)])
-        y = PolyGF2.monomial(0, 1)
+        y = mono(0, 1)
         _, rel2 = relation_polys(pres)
         assert rel2 == x_plus_y ** pres.q * y ** (pres.b - pres.q)
 
@@ -215,7 +216,22 @@ class TestElementArithmetic:
 
     def test_out_of_basis_coeffs_rejected(self):
         with pytest.raises(ValueError):
-            RingElement(RingPresentation(2, 2, 1), frozenset([(2, 0)]))
+            RingElement(RingPresentation(2, 2, 1), (0, 0, 0b100))
+
+    @given(polys, presentations)
+    def test_masks_round_trip(self, p, pres):
+        element = normal_form(p, pres)
+        assert RingElement(pres, element.masks) == element
+
+    @pytest.mark.parametrize("masks", [
+        (1, 0),  # untrimmed
+        (0, 0b100),  # x^2 y^-1: a bit above its degree
+        (0, 0, 0, 0b1000),  # x^3, with a = 3
+        (0, 0, 0, 0b1),  # y^3, with b = 3
+    ], ids=["untrimmed", "above-degree", "x-exponent-a", "y-exponent-b"])
+    def test_pieces_not_in_normal_form_rejected(self, masks):
+        with pytest.raises(ValueError):
+            RingElement(RingPresentation(3, 3, 1), masks)
 
     @given(presentations, st.data())
     def test_ring_axioms(self, pres, data):
@@ -224,14 +240,14 @@ class TestElementArithmetic:
             max_size=6,
         )
         u, v, w = (
-            RingElement(pres, data.draw(basis_pairs)) for _ in range(3)
+            RingElement(pres, PolyGF2(data.draw(basis_pairs)).masks) for _ in range(3)
         )
         assert (u + v) + w == u + (v + w)
         assert u + v == v + u
         assert (u * v) * w == u * (v * w)
         assert u * v == v * u
         assert u * (v + w) == u * v + u * w
-        one = normal_form(PolyGF2.one(), pres)
+        one = normal_form(mono(0, 0), pres)
         assert u * one == u
 
 
@@ -292,7 +308,7 @@ class TestBetti:
             for b in range(1, 13):
                 pres = RingPresentation(a, b, 0)
                 for d in range(-2, pres.top_degree + 3):
-                    assert betti(pres, d) == len(pres.basis(d)), (a, b, d)
+                    assert betti(pres, d) == len(basis(pres, d)), (a, b, d)
 
 
 class TestFundamentalClass:

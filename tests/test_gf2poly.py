@@ -5,23 +5,29 @@ from hypothesis import strategies as st
 from realbott.gf2poly import (
     COMPLEMENT_SUBSTITUTION,
     IDENTITY_SUBSTITUTION,
-    ONE,
-    SWAP_SUBSTITUTION,
-    X,
-    Y,
-    ZERO,
     LinearSubstitution,
     PolyGF2,
-    binom_mod2,
     sierpinski_row,
     substitute_linear,
 )
 
-from _oracles import pascal_mod2_rows, product_terms, substitute_terms
+from _oracles import (
+    SWAP_SUBSTITUTION,
+    binom_mod2,
+    pascal_mod2_rows,
+    product_terms,
+    substitute_terms,
+)
 
 
 def poly(*terms):
     return PolyGF2(terms)
+
+
+X = poly((1, 0))
+Y = poly((0, 1))
+ONE = poly((0, 0))
+ZERO = poly()
 
 
 polys = st.builds(

@@ -1,19 +1,22 @@
 import pytest
 
-from _oracles import reference_graded_isomorphism, reference_isomorphism
+from _oracles import (
+    SWAP_SUBSTITUTION,
+    reference_graded_isomorphism,
+    reference_isomorphism,
+    substitutions,
+)
 from realbott.arithmetic import cohomology_criterion, diffeo_criterion
 from realbott.cohomology import RingPresentation
 from realbott.gf2poly import (
     COMPLEMENT_SUBSTITUTION,
     IDENTITY_SUBSTITUTION,
-    SWAP_SUBSTITUTION,
     LinearSubstitution,
 )
 from realbott import oracle
 from realbott.oracle import (
     IsoVerdict,
     cell_isomorphisms,
-    enumerate_substitutions,
     induces_homomorphism,
     is_graded_isomorphism,
     rings_isomorphic_bruteforce,
@@ -22,12 +25,12 @@ from realbott.oracle import (
 
 class TestEnumeration:
     def test_sixteen_distinct(self):
-        subs = enumerate_substitutions()
+        subs = substitutions()
         assert len(subs) == 16
         assert len(set(subs)) == 16
 
     def test_contains_identity_and_swap(self):
-        subs = enumerate_substitutions()
+        subs = substitutions()
         assert IDENTITY_SUBSTITUTION in subs
         assert SWAP_SUBSTITUTION in subs
 
@@ -170,7 +173,7 @@ class TestAgainstReferenceSearch:
             src = RingPresentation(a, b, q)
             for q_prime in range(b + 1):
                 dst = RingPresentation(a, b, q_prime)
-                for subst in enumerate_substitutions():
+                for subst in substitutions():
                     assert is_graded_isomorphism(subst, src, dst) == (
                         reference_graded_isomorphism(
                             a, b, q, q_prime, subst.x_image, subst.y_image
@@ -240,14 +243,14 @@ class TestCellIsomorphisms:
     def test_failed_composed_witness_raises(self, monkeypatch):
         # with every inverse replaced by the identity the composed maps are
         # wrong; the check must refuse them rather than report a verdict
-        identity = {subst: IDENTITY_SUBSTITUTION for subst in enumerate_substitutions()}
+        identity = {subst: IDENTITY_SUBSTITUTION for subst in substitutions()}
         monkeypatch.setattr(oracle, "_ADJUGATE", identity)
         with pytest.raises(RuntimeError, match="composed witness"):
             list(cell_isomorphisms(10, 17))
 
     def test_adjugate_inverts_exactly_the_invertible_substitutions(self):
         invertible = 0
-        for subst in enumerate_substitutions():
+        for subst in substitutions():
             (xx, xy), (yx, yy) = subst.x_image, subst.y_image
             adjugate = oracle._ADJUGATE[subst]
             if xx & yy ^ xy & yx:
