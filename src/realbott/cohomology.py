@@ -22,6 +22,7 @@ linear-algebra reduction of the ideal is verified in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .gf2poly import (
     COMPLEMENT_SUBSTITUTION,
@@ -111,7 +112,9 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check_compatible(other)
-        return normal_form(self.lift() + other.lift(), self.pres)
+        # pres.reduce is linear, so the sum of reduced pieces is reduced
+        pieces = zip_longest(self.masks, other.masks, fillvalue=0)
+        return RingElement(self.pres, PolyGF2.from_masks(u ^ v for u, v in pieces).masks)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check_compatible(other)

@@ -9,8 +9,8 @@ put in its place.  Run from the root of a checkout:
 
 For each mutant (all, or those whose indices are given) the runner copies
 src/, tests/, perfbench/ and pyproject.toml to a temporary directory,
-applies the edit there, runs the Tier-1 suite with -x and reports "killed"
-with the first failing test, or "survived".  It exits 1 if any mutant
+applies the edit there, runs the Tier-1 suite but tests/test_mutants.py
+with -x and reports "killed" with the first failing test, or "survived".  It exits 1 if any mutant
 survived.  pytest does not collect this file: its name has no test_ prefix.
 """
 
@@ -76,7 +76,10 @@ MUTANTS = (
            "RingElement accepts a bit above its degree, a negative y-exponent"),
 )
 
-TIER_1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors")
+# tests/test_mutants.py is left out: in the copy it reads the mutated source,
+# where old no longer occurs, so it would fail for every mutant.
+TIER_1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+          "--ignore=tests/test_mutants.py")
 FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)
 
 

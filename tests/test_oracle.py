@@ -25,14 +25,17 @@ from realbott.oracle import (
 
 class TestEnumeration:
     def test_sixteen_distinct(self):
-        subs = substitutions()
+        subs = oracle._SUBSTITUTIONS
         assert len(subs) == 16
         assert len(set(subs)) == 16
 
     def test_contains_identity_and_swap(self):
-        subs = substitutions()
+        subs = oracle._SUBSTITUTIONS
         assert IDENTITY_SUBSTITUTION in subs
         assert SWAP_SUBSTITUTION in subs
+
+    def test_search_order(self):
+        assert list(oracle._SUBSTITUTIONS) == substitutions()
 
 
 class TestInducesHomomorphism:
