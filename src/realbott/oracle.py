@@ -1,46 +1,41 @@
 """Brute-force decision of graded-ring isomorphism, with witnesses.
 
-Both rings are generated in degree 1, so any graded unital isomorphism is
-determined by a linear map on the span of {x, y}.  There are only 16
-candidate substitutions x -> L1, y -> L2; each is checked semantically:
-does it carry the source relations into the target ideal, and is the
-induced map bijective?  Non-invertible matrices are not excluded up front:
-for degenerate presentations (a = 1 or b = 1) the generators are dependent
-in the quotient, and a singular substitution can still induce an
-isomorphism.
+Both rings are generated in degree 1, so a graded unital isomorphism is
+determined by a substitution x -> L1, y -> L2 with L1, L2 linear forms:
+16 candidates, each checked semantically.  Does it carry the source
+relations into the target ideal, and is the induced map bijective?
 
-Lemma (bijectivity is decided in degree 1).  The image of a ring
-homomorphism is a subalgebra; the target is generated by its degree-1
-piece, so the image is the whole target exactly when L1 and L2 span that
-piece.  Both rings have dimension a*b, so onto means bijective.  Hence
-a substitution is a graded isomorphism iff it induces a homomorphism and
-the reduced degree-1 images of L1 and L2 have rank betti(dst, 1).  This
-holds for every (a, b), the degenerate rows included; the test suite
-checks it against an independent all-degree rank test.
+Lemma (degree 1).  The image of a ring map is a subalgebra and the target
+is generated in degree 1, so the map is onto, hence bijective (both rings
+have dimension a*b), iff L1 and L2 span the target's degree-1 piece: a
+homomorphism is an isomorphism iff their reduced images have rank
+betti(dst, 1).  The tests check this against an all-degree rank test.
+When a, b >= 2 that rank is 2, so only the six substitutions in GL2(F2)
+can pass, and only they are searched.  On the rows a = 1 and b = 1 a
+singular substitution can be an isomorphism, and all 16 are searched.
 
-Classes (one (a, b) cell from few searches).  Graded isomorphism is an
-equivalence relation, so cell_isomorphisms walks q = 0..b and searches
-ring q only against the class representatives found so far: on the first
-witness rep -> q it joins that class, and if every representative gives
-an exhaustive "no" it becomes a representative itself.  Every pair's
-verdict then follows, one row q at a time (so a sweep holds the b + 1
-rings and one row, not the (b + 1)^2 verdicts), and stays proven:
-  - same class: with witnesses w, w' from the representative to q and q',
-    the map w' after w^-1 is an isomorphism q -> q'; it is composed and
-    checked with is_graded_isomorphism, and a failed check is an internal
-    fault (RuntimeError), never a verdict;
-  - different classes: an isomorphism q -> q' composed with the checked
-    witnesses would be one between the two representatives, which the
-    later of them was exhaustively searched against and had none.
-Inverting a witness needs it invertible.  For a, b >= 2 the degree-1 piece
-has dimension 2, so by the lemma every witness is in GL2(F2).  On the rows
-a = 1 and b = 1 a singular substitution can be an isomorphism, and there
-every pair is searched.
+Lemma (ideals).  RingPresentation._rel2 is the second relation
+(x+y)^q y^(b-q) cut to the x-exponents below a, which differs from it by a
+multiple of x^a.  So rings of one (a, b) cell with equal _rel2 have the
+same ideal, and the identity is an isomorphism between them.
+
+Classes.  cell_isomorphisms checks that identity from every ring to the
+first ring of its ideal.  It then walks the distinct ideals in q order and
+searches each against the class representatives found so far: the ideal
+joins the class of the first that has a witness, or becomes a
+representative.  Every pair of distinct ideals within a class is then
+searched directly.  A failed identity check, or a "no" within a class, is
+an internal fault.  Different classes are not isomorphic: an isomorphism
+between them would compose with searched witnesses to one between two
+representatives, and the later of them was searched exhaustively against
+the earlier.  So every isomorphic verdict carries the checked identity or
+a searched witness, and no witness is composed or inverted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterator, Optional
 
 from .cohomology import RingPresentation, betti
@@ -69,18 +64,13 @@ class IsoVerdict:
 
 _FORMS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _SUBSTITUTIONS = tuple(LinearSubstitution(fx, fy) for fx in _FORMS for fy in _FORMS)
-_BY_FORMS = {subst.forms: subst for subst in _SUBSTITUTIONS}
-# A fixed table: each substitution's adjugate matrix, which over GF(2) is the
-# inverse of each of the six in GL2(F2).  A singular witness on a, b >= 2 can
-# only come from a faulty is_graded_isomorphism; its adjugate lets the sweep
-# go on, so that the fault shows as verdicts the criterion contradicts, and
-# every composed map is still checked.
-_ADJUGATE = {
-    subst: LinearSubstitution((subst.y_image[1], subst.x_image[1]),
-                              (subst.y_image[0], subst.x_image[0]))
-    for subst in _SUBSTITUTIONS
-}
+# the six in GL2(F2), in search order: the only candidates when a, b >= 2
+_INVERTIBLE = tuple(
+    subst for subst in _SUBSTITUTIONS
+    if subst.x_image[0] & subst.y_image[1] ^ subst.x_image[1] & subst.y_image[0]
+)
 _NOT_ISOMORPHIC = IsoVerdict(False)
+_SAME_IDEAL = IsoVerdict(True, IDENTITY_SUBSTITUTION)
 
 
 def _check_same_shape(src: RingPresentation, dst: RingPresentation) -> None:
@@ -142,64 +132,57 @@ def is_graded_isomorphism(
 def rings_isomorphic_bruteforce(
     src: RingPresentation, dst: RingPresentation
 ) -> IsoVerdict:
-    """Search the 16 substitutions x -> L1, y -> L2, L1 the outer loop and
-    each form in the order 0, y, x, x+y, and return the first working
-    witness, if any."""
+    """Search the substitutions x -> L1, y -> L2, L1 the outer loop and each
+    form in the order 0, y, x, x+y, and return the first working witness,
+    if any.  When betti(dst, 1) == 2 only the six invertible ones are
+    tried: by the degree-1 lemma the other ten fail the rank check, so the
+    verdict and the first witness are those of all 16."""
     _check_same_shape(src, dst)
-    for subst in _SUBSTITUTIONS:
+    for subst in _SUBSTITUTIONS if betti(dst, 1) < 2 else _INVERTIBLE:
         if is_graded_isomorphism(subst, src, dst):
             return IsoVerdict(True, subst)
     return IsoVerdict(False)
 
 
-def _compose(outer: LinearSubstitution, inner: LinearSubstitution) -> LinearSubstitution:
-    """The substitution of outer after inner: x -> outer(inner(x)), likewise y."""
-    fx, fy = outer.forms
-    return _BY_FORMS[tuple(
-        (fx if form & 0b10 else 0) ^ (fy if form & 0b01 else 0) for form in inner.forms
-    )]
-
-
 def cell_isomorphisms(a: int, b: int) -> Iterator[list[IsoVerdict]]:
     """The verdict for every pair of the cell, one row at a time: row q holds
-    entry [q'] for M(q), M(q'), so only the rings and one row are held.
+    entry [q'] for M(q), M(q').
 
-    Searches each ring only against the class representatives found so far
-    and infers the other pairs (the argument is in the module docstring);
-    every inferred isomorphism carries a composed witness that
-    is_graded_isomorphism has accepted, and RuntimeError is raised, before
-    its row is yielded, if one fails.  On the rows a = 1 and b = 1 every pair is searched.
+    Rings of one ideal get the identity, checked for each ring; rings of
+    distinct ideals in one class get the witness of a direct search (see
+    the module docstring).  RuntimeError is raised before any row is
+    yielded if an identity check fails, or if a search within a class
+    finds no witness.  Only the rings, the verdicts within classes and one
+    row are held.
     """
     rings = [RingPresentation(a, b, q) for q in range(b + 1)]
-    if a == 1 or b == 1:
-        yield from ([rings_isomorphic_bruteforce(src, dst) for dst in rings] for src in rings)
-        return
-    representatives: list[RingPresentation] = []
-    classes: list[int] = []  # the class of each q, by representative index
-    witnesses: list[LinearSubstitution] = []  # representative -> q
+    ideals: dict[int, RingPresentation] = {}  # the first ring of each ideal, by _rel2
     for ring in rings:
-        for index, rep in enumerate(representatives):
-            verdict = rings_isomorphic_bruteforce(rep, ring)
-            if verdict.isomorphic:
-                classes.append(index)
-                witnesses.append(verdict.witness)
+        first = ideals.setdefault(ring._rel2, ring)
+        if not is_graded_isomorphism(IDENTITY_SUBSTITUTION, ring, first):
+            raise RuntimeError(
+                f"the identity is not an isomorphism M(q={ring.q}) -> M(q={first.q}) "
+                f"within one ideal at a={a}, b={b}"
+            )
+    classes: list[list[RingPresentation]] = []  # the ideals of each class, its representative first
+    for ideal in ideals.values():
+        for members in classes:
+            if rings_isomorphic_bruteforce(members[0], ideal).isomorphic:
+                members.append(ideal)
                 break
         else:
-            classes.append(len(representatives))
-            representatives.append(ring)
-            witnesses.append(IDENTITY_SUBSTITUTION)
-    for src, src_class, src_witness in zip(rings, classes, witnesses):
-        inverse = _ADJUGATE[src_witness]
-        row = []
-        for dst, dst_class, dst_witness in zip(rings, classes, witnesses):
-            if dst_class != src_class:
-                row.append(_NOT_ISOMORPHIC)
-                continue
-            composed = _compose(dst_witness, inverse)
-            if not is_graded_isomorphism(composed, src, dst):
+            classes.append([ideal])
+    within = {}  # the verdict of each pair of distinct ideals of one class, by their _rel2
+    for members in classes:
+        for src, dst in permutations(members, 2):
+            verdict = rings_isomorphic_bruteforce(src, dst)
+            if not verdict.isomorphic:
                 raise RuntimeError(
-                    f"composed witness {composed} is not an isomorphism "
-                    f"M(q={src.q}) -> M(q={dst.q}) at a={a}, b={b}"
+                    f"no witness M(q={src.q}) -> M(q={dst.q}) within one class "
+                    f"at a={a}, b={b}"
                 )
-            row.append(IsoVerdict(True, composed))
-        yield row
+            within[src._rel2, dst._rel2] = verdict
+    keys = [ring._rel2 for ring in rings]
+    for key in keys:
+        yield [_SAME_IDEAL if other == key else within.get((key, other), _NOT_ISOMORPHIC)
+               for other in keys]

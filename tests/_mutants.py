@@ -59,9 +59,9 @@ MUTANTS = (
            "return _rank_bits([dst.reduce(fx, 1), dst.reduce(fy, 1)]) >= 1",
            "a substitution of degree-1 rank 1 passes as an isomorphism"),
     Mutant("oracle.py",
-           "if dst_class != src_class:",
-           "if dst_class != src_class and src.q:",
-           "row q = 0 composes witnesses across classes, which the check must refuse"),
+           "within.get((key, other), _NOT_ISOMORPHIC)",
+           "within.get((key, other), _SAME_IDEAL)",
+           "rings of different classes reported isomorphic by the identity"),
     Mutant("cohomology.py",
            "((0b10, pres.a), (0b01, pres.b - pres.q), (0b11, pres.q))",
            "((0b10, pres.a), (0b01, pres.q), (0b11, pres.b - pres.q))",
@@ -74,6 +74,22 @@ MUTANTS = (
            "if mask >> d + 1 or self.pres.reduce(mask, d) != mask:",
            "if self.pres.reduce(mask, d) != mask:",
            "RingElement accepts a bit above its degree, a negative y-exponent"),
+    Mutant("oracle.py",
+           "if betti(dst, 1) < 2 else _INVERTIBLE",
+           "if betti(dst, 1) < 1 else _INVERTIBLE",
+           "the rows a = 1 and b = 1 search only the invertible substitutions"),
+    Mutant("oracle.py",
+           "ideals.setdefault(ring._rel2, ring)",
+           "ideals.setdefault(ring._rel2 & 0b111, ring)",
+           "rings grouped by C(q, t) for t < 3 only, a key coarser than the ideal"),
+    Mutant("oracle.py",
+           "if not is_graded_isomorphism(IDENTITY_SUBSTITUTION, ring, first):",
+           "if False:",
+           "the identity within an ideal is not checked"),
+    Mutant("oracle.py",
+           "            if not verdict.isomorphic:\n                raise RuntimeError(",
+           "            if False:\n                raise RuntimeError(",
+           "a search with no witness within one class is not a fault"),
 )
 
 # tests/test_mutants.py is left out: in the copy it reads the mutated source,

@@ -12,6 +12,8 @@ monomial basis of a presentation), SWAP_SUBSTITUTION and substitutions()
 (the oracle's 16 maps, in its search order), classify_row and
 counterexample_row (the library's criteria_runs and counterexample_cells
 expanded into verdicts), and dumps_record (one jsonl record).
+rejects_identity_between_rings and misses_downward_witnesses are faults,
+patched into the oracle to show that cell_isomorphisms refuses them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import io
 
 from realbott.arithmetic import ClassificationVerdict, counterexample_cells, criteria_runs
 from realbott.cli import emit_records
-from realbott.gf2poly import LinearSubstitution, PolyGF2
+from realbott.gf2poly import IDENTITY_SUBSTITUTION, LinearSubstitution, PolyGF2
+from realbott.oracle import IsoVerdict
 
 
 def binom_mod2(n: int, m: int) -> int:
@@ -225,6 +228,20 @@ def reference_isomorphism(a: int, b: int, q: int, q_prime: int):
             if reference_graded_isomorphism(a, b, q, q_prime, x_image, y_image):
                 return x_image, y_image
     return None
+
+
+def rejects_identity_between_rings(check):
+    """The check is_graded_isomorphism, made false for the identity between
+    distinct rings."""
+    return lambda subst, src, dst: (
+        not (subst == IDENTITY_SUBSTITUTION and src != dst) and check(subst, src, dst)
+    )
+
+
+def misses_downward_witnesses(search):
+    """The search rings_isomorphic_bruteforce, made to answer "no" whenever
+    src.q > dst.q."""
+    return lambda src, dst: IsoVerdict(False) if src.q > dst.q else search(src, dst)
 
 
 RECORD_KEYS = (

@@ -27,8 +27,10 @@ from realbott.cli import FORMATS, SCHEMA, emit_records, main
 from _oracles import (
     RECORD_KEYS,
     dumps_record,
+    misses_downward_witnesses,
     record_from_verdict,
     reference_text,
+    rejects_identity_between_rings,
     substitutions,
 )
 
@@ -602,13 +604,21 @@ class TestVerify:
         assert "bounds must be >= 1" in result.output
         assert "checked" not in result.output
 
-    def test_failed_composed_witness_is_internal_error(self, runner, monkeypatch):
-        # a composed witness that fails its check is a fault, not a mismatch
-        identity = {subst: IDENTITY_SUBSTITUTION for subst in substitutions()}
-        monkeypatch.setattr(oracle, "_ADJUGATE", identity)
+    def test_identity_rejected_within_an_ideal_is_internal_error(self, runner, monkeypatch):
+        # a failed internal check is a fault, not a mismatch
+        monkeypatch.setattr(oracle, "is_graded_isomorphism",
+                            rejects_identity_between_rings(oracle.is_graded_isomorphism))
         result = runner.invoke(main, ["verify", "--only", "a=10,b=17"])
         assert result.exit_code == 3
-        assert "composed witness" in result.stderr
+        assert "within one ideal" in result.stderr
+        assert "MISMATCH" not in result.output
+
+    def test_no_witness_within_a_class_is_internal_error(self, runner, monkeypatch):
+        monkeypatch.setattr(oracle, "rings_isomorphic_bruteforce",
+                            misses_downward_witnesses(oracle.rings_isomorphic_bruteforce))
+        result = runner.invoke(main, ["verify", "--only", "a=10,b=17"])
+        assert result.exit_code == 3
+        assert "within one class" in result.stderr
         assert "MISMATCH" not in result.output
 
     def test_mismatch_exits_one(self, runner, monkeypatch):

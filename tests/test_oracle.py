@@ -2,8 +2,12 @@ import pytest
 
 from _oracles import (
     SWAP_SUBSTITUTION,
+    dense_rank_gf2,
+    ideal_degree_slice,
+    misses_downward_witnesses,
     reference_graded_isomorphism,
     reference_isomorphism,
+    rejects_identity_between_rings,
     substitutions,
 )
 from realbott.arithmetic import cohomology_criterion, diffeo_criterion
@@ -214,7 +218,7 @@ class TestCellIsomorphisms:
     @pytest.mark.parametrize("a", range(1, 9))
     def test_agrees_with_all_pairs_search(self, a):
         # b <= 12, the degenerate rows a = 1 and b = 1 included; every
-        # witness, searched or composed, is an isomorphism
+        # witness, searched or the identity within an ideal, is an isomorphism
         for b in range(1, 13):
             rings = [RingPresentation(a, b, q) for q in range(b + 1)]
             verdicts = list(cell_isomorphisms(a, b))
@@ -243,35 +247,74 @@ class TestCellIsomorphisms:
         assert mismatches == []
         assert counterexamples > 0
 
-    def test_failed_composed_witness_raises(self, monkeypatch):
-        # with every inverse replaced by the identity the composed maps are
-        # wrong; the check must refuse them rather than report a verdict
-        identity = {subst: IDENTITY_SUBSTITUTION for subst in substitutions()}
-        monkeypatch.setattr(oracle, "_ADJUGATE", identity)
-        with pytest.raises(RuntimeError, match="composed witness"):
-            list(cell_isomorphisms(10, 17))
+    def test_agrees_with_criterion_in_the_headline_regime(self):
+        # every cell with a <= 16 and b <= 40, the regime where h(a) < k(a):
+        # 381,120 pairs through the library verify uses
+        mismatches, pairs = [], 0
+        for a in range(1, 17):
+            for b in range(1, 41):
+                for q, row in enumerate(cell_isomorphisms(a, b)):
+                    for q_prime, verdict in enumerate(row):
+                        pairs += 1
+                        if verdict.isomorphic != cohomology_criterion(a, b, q, q_prime):
+                            mismatches.append((a, b, q, q_prime))
+        assert mismatches == []
+        assert pairs == 381_120
 
-    def test_adjugate_inverts_exactly_the_invertible_substitutions(self):
-        invertible = 0
-        for subst in substitutions():
-            (xx, xy), (yx, yy) = subst.x_image, subst.y_image
-            adjugate = oracle._ADJUGATE[subst]
-            if xx & yy ^ xy & yx:
-                invertible += 1
-                assert oracle._compose(subst, adjugate) == IDENTITY_SUBSTITUTION, subst
-                assert oracle._compose(adjugate, subst) == IDENTITY_SUBSTITUTION, subst
-            else:
-                assert oracle._compose(subst, adjugate) != IDENTITY_SUBSTITUTION, subst
-        assert invertible == 6
+    def test_identity_rejected_within_an_ideal_raises(self, monkeypatch):
+        # a fault in the identity check between distinct rings of one ideal
+        # must stop the sweep, not become a verdict
+        monkeypatch.setattr(oracle, "is_graded_isomorphism",
+                            rejects_identity_between_rings(is_graded_isomorphism))
+        with pytest.raises(RuntimeError, match="within one ideal"):
+            next(cell_isomorphisms(10, 17))
 
-    def test_compose_applies_the_inner_substitution_first(self):
-        kill_y = LinearSubstitution((1, 0), (0, 0))
-        # x -> x -> x and y -> x + y -> x + 0
-        assert oracle._compose(kill_y, COMPLEMENT_SUBSTITUTION) == LinearSubstitution(
-            (1, 0), (1, 0)
-        )
-        # x -> x -> x and y -> 0
-        assert oracle._compose(COMPLEMENT_SUBSTITUTION, kill_y) == kill_y
+    def test_no_witness_within_a_class_raises(self, monkeypatch):
+        # a search that misses the witness between two ideals of one class
+        # must stop the sweep, not become a verdict
+        monkeypatch.setattr(oracle, "rings_isomorphic_bruteforce",
+                            misses_downward_witnesses(rings_isomorphic_bruteforce))
+        with pytest.raises(RuntimeError, match="within one class"):
+            next(cell_isomorphisms(10, 17))
+
+
+class TestLemmas:
+    @pytest.mark.parametrize("a", range(1, 9))
+    def test_invertible_search_loses_nothing(self, a):
+        # the degree-1 lemma: searching only GL2(F2) when betti(dst, 1) == 2
+        # gives the verdict and the first witness of a search over all 16
+        for b in range(1, 9):
+            rings = [RingPresentation(a, b, q) for q in range(b + 1)]
+            for src in rings:
+                for dst in rings:
+                    first = next((subst for subst in substitutions()
+                                  if is_graded_isomorphism(subst, src, dst)), None)
+                    assert rings_isomorphic_bruteforce(src, dst).witness == first, (b, src, dst)
+
+    def test_invertible_substitutions_in_search_order(self):
+        invertible = [subst for subst in substitutions()
+                      if subst.x_image[0] * subst.y_image[1] != subst.x_image[1] * subst.y_image[0]]
+        assert len(invertible) == 6
+        assert list(oracle._INVERTIBLE) == invertible
+
+    @pytest.mark.parametrize("a", range(1, 11))
+    def test_equal_rel2_means_equal_ideal(self, a):
+        # rings of one cell with equal _rel2 span the same ideal slice in
+        # every degree, by dense rank rather than by reduce
+        for b in range(1, 18):
+            firsts = {}
+            for q in range(b + 1):
+                first = firsts.setdefault(RingPresentation(a, b, q)._rel2, q)
+                if first == q:
+                    continue
+                for d in range(a + b):
+                    mine = ideal_degree_slice(a, b, q, d)
+                    theirs = ideal_degree_slice(a, b, first, d)
+                    if mine != theirs:  # equal rows, as below b, span one space
+                        rank = dense_rank_gf2(mine)
+                        assert rank == dense_rank_gf2(theirs) == dense_rank_gf2(mine + theirs), (
+                            b, q, first, d,
+                        )
 
 
 def test_agrees_with_criterion_where_rigidity_fails():
