@@ -30,7 +30,7 @@ from .gf2poly import (
 )
 from .oracle import (
     IsoVerdict,
-    cell_isomorphisms,
+    cell_classes,
     induces_homomorphism,
     is_graded_isomorphism,
     rings_isomorphic_bruteforce,
@@ -51,7 +51,7 @@ __all__ = [
     "betti",
     "total_sw_class",
     "IsoVerdict",
-    "cell_isomorphisms",
+    "cell_classes",
     "induces_homomorphism",
     "is_graded_isomorphism",
     "rings_isomorphic_bruteforce",

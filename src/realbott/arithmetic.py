@@ -21,6 +21,7 @@ __all__ = [
     "h_of",
     "k_of",
     "cohomology_criterion",
+    "criterion_classes",
     "diffeo_criterion",
     "homotopy_criterion",
     "rigidity_holds",
@@ -90,6 +91,19 @@ def cohomology_criterion(a: int, b: int, q: int, q_prime: int) -> bool:
     q' congruent to q or b - q modulo 2^h(a)."""
     _check_pair_ranges(a, b, q, q_prime)
     return _congruent_to_q_or_complement(b, q, q_prime, 2 ** h_of(a))
+
+
+def criterion_classes(a: int, b: int) -> list[int]:
+    """Entry q is the least q' with cohomology_criterion(a, b, q, q').
+
+    Orbit lemma: the criterion holds iff q' mod m is in {q mod m, (b - q)
+    mod m}, m = 2^h(a), an orbit of the involution r -> b - r on Z/m; orbits
+    partition Z/m, and both residues are at most b.  So the smaller is the
+    least q' of the class of q, and entries are equal iff the criterion holds.
+    """
+    m = 1 << h_of(a)  # checks a
+    _check_b(b)
+    return [min(_criterion_residues(b, q, m)) for q in range(b + 1)]
 
 
 def _diffeo_modulus(k: int, b: int) -> int:

@@ -5,10 +5,11 @@ the default human-readable table.  Classification records always carry the
 same nine scalar fields, in a fixed order; the CSV header is bit-exact so
 downstream ingestion can rely on it.  No command holds more than one row:
 table and counterexamples stream every format a row at a time (text widths
-come from closed-form maxima), and verify reads each cell's verdicts a row
-at a time.  A row is a few runs of records that share a template, each
-written with one str.join over preformatted cells; every template comes
-from one real, checked ClassificationVerdict.
+come from closed-form maxima), and verify holds one cell's two partitions,
+the oracle's and the criterion's, as b + 1 class names each.  A row is a
+few runs of records that share a template, each written with one str.join
+over preformatted cells; every template comes from one real, checked
+ClassificationVerdict.
 Exit codes: 0 success, 1 the ring oracle and the congruence criterion
 disagree, 2 usage error, 3 internal error (with its traceback on stderr).
 """
@@ -27,10 +28,10 @@ from .arithmetic import (
     ClassificationVerdict,
     OracleDisagreement,
     classify as classify_pair,
-    cohomology_criterion,
     counterexample_cells,
     counterexample_maxima,
     criteria_runs,
+    criterion_classes,
     h_of,
     k_of,
 )
@@ -40,7 +41,7 @@ from .cohomology import (
     sw_swap_failures,
     total_sw_class,
 )
-from .oracle import cell_isomorphisms
+from .oracle import cell_classes
 
 SCHEMA = (
     "a",
@@ -184,11 +185,15 @@ out_option = click.option(
 
 
 class _Group(click.Group):
-    """Exits INTERNAL_ERROR_EXIT on an unexpected exception: 1 means a mismatch."""
+    """Exits INTERNAL_ERROR_EXIT on an unexpected exception: 1 means a mismatch.
+    An --out that cannot be opened is a usage error: click opens it at the
+    first write, so no file is made when another usage error comes first."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
+        except click.FileError as exc:
+            raise click.BadParameter(exc.format_message(), ctx, param_hint="'--out'") from exc
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
         except Exception:
@@ -321,16 +326,15 @@ def verify(a_max, b_max, only, extended, out) -> None:
     cases = 0
     mismatches = 0
     for a, b in cells:
+        classes = list(zip(cell_classes(a, b), criterion_classes(a, b)))
         cell_mismatches = 0
-        for q, row in enumerate(cell_isomorphisms(a, b)):
-            for q_prime, verdict in enumerate(row):
-                cases += 1
-                if verdict.isomorphic != cohomology_criterion(a, b, q, q_prime):
+        for q, (oracle_q, criterion_q) in enumerate(classes):
+            for q_prime, (oracle_p, criterion_p) in enumerate(classes):
+                isomorphic = oracle_q == oracle_p
+                if isomorphic != (criterion_q == criterion_p):
                     cell_mismatches += 1
-                    out.write(
-                        f"MISMATCH a={a} b={b} q={q} q'={q_prime}: "
-                        f"oracle={verdict.isomorphic}\n"
-                    )
+                    out.write(f"MISMATCH a={a} b={b} q={q} q'={q_prime}: oracle={isomorphic}\n")
+        cases += (b + 1) ** 2
         mismatches += cell_mismatches
         out.write(f"a={a} b={b}: {(b + 1) ** 2} pairs, {cell_mismatches} mismatches\n")
     if not cases:

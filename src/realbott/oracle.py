@@ -19,31 +19,31 @@ Lemma (ideals).  RingPresentation._rel2 is the second relation
 multiple of x^a.  So rings of one (a, b) cell with equal _rel2 have the
 same ideal, and the identity is an isomorphism between them.
 
-Classes.  cell_isomorphisms checks that identity from every ring to the
+Classes.  cell_classes checks that identity from every ring to the
 first ring of its ideal.  It then walks the distinct ideals in q order and
 searches each against the class representatives found so far: the ideal
 joins the class of the first that has a witness, or becomes a
-representative.  Every pair of distinct ideals within a class is then
-searched directly.  A failed identity check, or a "no" within a class, is
-an internal fault.  Different classes are not isomorphic: an isomorphism
-between them would compose with searched witnesses to one between two
-representatives, and the later of them was searched exhaustively against
-the earlier.  So every isomorphic verdict carries the checked identity or
-a searched witness, and no witness is composed or inverted.
+representative.  A failed identity check is an internal fault.  Rings of
+one class are isomorphic: each is isomorphic to its ideal's first ring,
+that ideal to its representative by a searched and checked witness, and
+isomorphisms compose.  Different classes are not isomorphic: an
+isomorphism between them would compose with searched witnesses to one
+between two representatives, and the later of them was searched
+exhaustively against the earlier.  A class is named by its
+representative's first ring, which has the least q of the class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterator, Optional
+from typing import Optional
 
 from .cohomology import RingPresentation, betti
 from .gf2poly import IDENTITY_SUBSTITUTION, LinearSubstitution, clmul, linear_power
 
 __all__ = [
     "IsoVerdict",
-    "cell_isomorphisms",
+    "cell_classes",
     "induces_homomorphism",
     "is_graded_isomorphism",
     "rings_isomorphic_bruteforce",
@@ -69,8 +69,6 @@ _INVERTIBLE = tuple(
     subst for subst in _SUBSTITUTIONS
     if subst.x_image[0] & subst.y_image[1] ^ subst.x_image[1] & subst.y_image[0]
 )
-_NOT_ISOMORPHIC = IsoVerdict(False)
-_SAME_IDEAL = IsoVerdict(True, IDENTITY_SUBSTITUTION)
 
 
 def _check_same_shape(src: RingPresentation, dst: RingPresentation) -> None:
@@ -144,17 +142,10 @@ def rings_isomorphic_bruteforce(
     return IsoVerdict(False)
 
 
-def cell_isomorphisms(a: int, b: int) -> Iterator[list[IsoVerdict]]:
-    """The verdict for every pair of the cell, one row at a time: row q holds
-    entry [q'] for M(q), M(q').
-
-    Rings of one ideal get the identity, checked for each ring; rings of
-    distinct ideals in one class get the witness of a direct search (see
-    the module docstring).  RuntimeError is raised before any row is
-    yielded if an identity check fails, or if a search within a class
-    finds no witness.  Only the rings, the verdicts within classes and one
-    row are held.
-    """
+def cell_classes(a: int, b: int) -> list[int]:
+    """Entry q is the least q' with M(q') isomorphic to M(q) (see the module
+    docstring), so entries q and q' are equal exactly when M(q) and M(q')
+    are isomorphic.  RuntimeError is raised if an identity check fails."""
     rings = [RingPresentation(a, b, q) for q in range(b + 1)]
     ideals: dict[int, RingPresentation] = {}  # the first ring of each ideal, by _rel2
     for ring in rings:
@@ -164,25 +155,13 @@ def cell_isomorphisms(a: int, b: int) -> Iterator[list[IsoVerdict]]:
                 f"the identity is not an isomorphism M(q={ring.q}) -> M(q={first.q}) "
                 f"within one ideal at a={a}, b={b}"
             )
-    classes: list[list[RingPresentation]] = []  # the ideals of each class, its representative first
-    for ideal in ideals.values():
-        for members in classes:
-            if rings_isomorphic_bruteforce(members[0], ideal).isomorphic:
-                members.append(ideal)
+    representatives: list[RingPresentation] = []
+    least: dict[int, int] = {}  # the least q of each ideal's class, by _rel2
+    for key, ideal in ideals.items():
+        for representative in representatives:
+            if rings_isomorphic_bruteforce(representative, ideal).isomorphic:
                 break
         else:
-            classes.append([ideal])
-    within = {}  # the verdict of each pair of distinct ideals of one class, by their _rel2
-    for members in classes:
-        for src, dst in permutations(members, 2):
-            verdict = rings_isomorphic_bruteforce(src, dst)
-            if not verdict.isomorphic:
-                raise RuntimeError(
-                    f"no witness M(q={src.q}) -> M(q={dst.q}) within one class "
-                    f"at a={a}, b={b}"
-                )
-            within[src._rel2, dst._rel2] = verdict
-    keys = [ring._rel2 for ring in rings]
-    for key in keys:
-        yield [_SAME_IDEAL if other == key else within.get((key, other), _NOT_ISOMORPHIC)
-               for other in keys]
+            representatives.append(representative := ideal)
+        least[key] = representative.q
+    return [least[ring._rel2] for ring in rings]

@@ -58,10 +58,6 @@ MUTANTS = (
            "return _rank_bits([dst.reduce(fx, 1), dst.reduce(fy, 1)]) == betti(dst, 1)",
            "return _rank_bits([dst.reduce(fx, 1), dst.reduce(fy, 1)]) >= 1",
            "a substitution of degree-1 rank 1 passes as an isomorphism"),
-    Mutant("oracle.py",
-           "within.get((key, other), _NOT_ISOMORPHIC)",
-           "within.get((key, other), _SAME_IDEAL)",
-           "rings of different classes reported isomorphic by the identity"),
     Mutant("cohomology.py",
            "((0b10, pres.a), (0b01, pres.b - pres.q), (0b11, pres.q))",
            "((0b10, pres.a), (0b01, pres.q), (0b11, pres.b - pres.q))",
@@ -86,10 +82,18 @@ MUTANTS = (
            "if not is_graded_isomorphism(IDENTITY_SUBSTITUTION, ring, first):",
            "if False:",
            "the identity within an ideal is not checked"),
+    Mutant("arithmetic.py",
+           "return [min(_criterion_residues(b, q, m))",
+           "return [max(_criterion_residues(b, q, m))",
+           "criterion_classes names a class by its largest residue, not its least q"),
     Mutant("oracle.py",
-           "            if not verdict.isomorphic:\n                raise RuntimeError(",
-           "            if False:\n                raise RuntimeError(",
-           "a search with no witness within one class is not a fault"),
+           "if rings_isomorphic_bruteforce(representative, ideal).isomorphic:",
+           "if True:",
+           "a new ideal joins the first representative without a search"),
+    Mutant("oracle.py",
+           "for representative in representatives:",
+           "for representative in ():",
+           "every ideal becomes its own class"),
 )
 
 # tests/test_mutants.py is left out: in the copy it reads the mutated source,

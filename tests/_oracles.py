@@ -12,8 +12,9 @@ monomial basis of a presentation), SWAP_SUBSTITUTION and substitutions()
 (the oracle's 16 maps, in its search order), classify_row and
 counterexample_row (the library's criteria_runs and counterexample_cells
 expanded into verdicts), and dumps_record (one jsonl record).
-rejects_identity_between_rings and misses_downward_witnesses are faults,
-patched into the oracle to show that cell_isomorphisms refuses them.
+radon_hurwitz is the Radon-Hurwitz number, against which k(a) is checked.
+rejects_identity_between_rings is a fault, patched into the oracle to show
+that cell_classes refuses it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import io
 from realbott.arithmetic import ClassificationVerdict, counterexample_cells, criteria_runs
 from realbott.cli import emit_records
 from realbott.gf2poly import IDENTITY_SUBSTITUTION, LinearSubstitution, PolyGF2
-from realbott.oracle import IsoVerdict
 
 
 def binom_mod2(n: int, m: int) -> int:
@@ -51,6 +51,13 @@ def binomial_rows_match(a: int, q: int, q_prime: int) -> bool:
         if left != right:
             return False
     return True
+
+
+def radon_hurwitz(m: int) -> int:
+    """rho(m) = 8c + 2^d for m = 2^(4c+d) * odd, 0 <= d < 4: by Adams, the
+    number of pointwise independent vector fields on S^(m-1), plus one."""
+    c, d = divmod((m & -m).bit_length() - 1, 4)
+    return 8 * c + 2 ** d
 
 
 def pascal_mod2_rows(n_max: int) -> list[list[int]]:
@@ -236,12 +243,6 @@ def rejects_identity_between_rings(check):
     return lambda subst, src, dst: (
         not (subst == IDENTITY_SUBSTITUTION and src != dst) and check(subst, src, dst)
     )
-
-
-def misses_downward_witnesses(search):
-    """The search rings_isomorphic_bruteforce, made to answer "no" whenever
-    src.q > dst.q."""
-    return lambda src, dst: IsoVerdict(False) if src.q > dst.q else search(src, dst)
 
 
 RECORD_KEYS = (

@@ -25,7 +25,9 @@ from realbott.arithmetic import (
 )
 from realbott.oracle import IsoVerdict
 
-from _oracles import binom_mod2, binomial_rows_match, classify_row, counterexample_row
+from _oracles import (
+    binom_mod2, binomial_rows_match, classify_row, counterexample_row, radon_hurwitz,
+)
 
 # golden values: the defining examples of both functions
 H_GOLDEN = {1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 3, 8: 3,
@@ -61,6 +63,15 @@ class TestKOf:
                 1 for n in range(1, a) if n % 8 in (0, 1, 2, 4)
             )
             assert k_of(a) == expected, a
+
+    def test_least_power_of_two_with_enough_vector_fields(self):
+        # Adams: 2^k(a), the order of the reduced KO group of RP^(a-1), is the
+        # least power of two m with rho(m) >= a; independent of k_of's count
+        n = 0
+        for a in range(1, 5000):
+            while radon_hurwitz(2 ** n) < a:
+                n += 1
+            assert k_of(a) == n, a
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

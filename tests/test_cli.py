@@ -20,14 +20,12 @@ from realbott.arithmetic import (
     classify,
     counterexample_pair,
 )
-from realbott.gf2poly import IDENTITY_SUBSTITUTION
 from realbott.oracle import IsoVerdict
 from realbott.cli import FORMATS, SCHEMA, emit_records, main
 
 from _oracles import (
     RECORD_KEYS,
     dumps_record,
-    misses_downward_witnesses,
     record_from_verdict,
     reference_text,
     rejects_identity_between_rings,
@@ -613,22 +611,42 @@ class TestVerify:
         assert "within one ideal" in result.stderr
         assert "MISMATCH" not in result.output
 
-    def test_no_witness_within_a_class_is_internal_error(self, runner, monkeypatch):
-        monkeypatch.setattr(oracle, "rings_isomorphic_bruteforce",
-                            misses_downward_witnesses(oracle.rings_isomorphic_bruteforce))
+    def test_search_fault_is_a_mismatch(self, runner, monkeypatch):
+        # a search that never finds a witness splits every class: verify
+        # reports the pairs it now calls non-isomorphic, not a traceback
+        monkeypatch.setattr(oracle, "rings_isomorphic_bruteforce", lambda src, dst: IsoVerdict(False))
         result = runner.invoke(main, ["verify", "--only", "a=10,b=17"])
-        assert result.exit_code == 3
-        assert "within one class" in result.stderr
-        assert "MISMATCH" not in result.output
+        assert result.exit_code == 1
+        assert "MISMATCH a=10 b=17 q=0 q'=17: oracle=False" in result.output
+        assert "Traceback" not in result.output + result.stderr
 
     def test_mismatch_exits_one(self, runner, monkeypatch):
-        # force a wrong criterion to exercise the failure path
-        monkeypatch.setattr(
-            cli, "cohomology_criterion", lambda a, b, q, q_prime: False
-        )
+        # force a wrong criterion, every q its own class, to exercise the failure path
+        monkeypatch.setattr(cli, "criterion_classes", lambda a, b: list(range(b + 1)))
         result = runner.invoke(main, ["verify", "--a-max", "1", "--b-max", "1"])
         assert result.exit_code == 1
         assert "MISMATCH" in result.output
+
+
+class TestOut:
+    """--out is opened at the first write; a path that cannot be opened is a
+    usage error on every subcommand, and creates nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--a", "2", "--b", "2", "--q", "0", "--q-prime", "1"],
+        ["table", "--a", "3", "--b", "2"],
+        ["counterexamples", "--a-max", "10", "--b-max", "17"],
+        ["verify", "--only", "a=1,b=1"],
+        ["sw", "--a", "2", "--b", "2", "--q", "1"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("target", ["missing/x", "."], ids=["missing-directory", "directory"])
+    def test_unopenable_out_is_usage_error(self, runner, tmp_path, argv, target):
+        result = runner.invoke(main, [*argv, "--out", str(tmp_path / target)])
+        assert result.exit_code == 2, result.output
+        assert "Usage:" in result.stderr
+        assert "Could not open file" in result.stderr
+        assert "Traceback" not in result.output
+        assert list(tmp_path.iterdir()) == []
 
 
 def traced_peaks(*argvs: list[str]) -> list[int]:
@@ -657,15 +675,15 @@ class TestBoundedMemory:
         assert many < 1.5 * few, (few, many)
 
     def test_verify_holds_one_row_of_verdicts(self):
-        # the b + 1 rings and one row grow linearly in b, the (b + 1)^2
+        # the b + 1 rings and class names grow linearly in b, the (b + 1)^2
         # verdicts of a whole cell quadratically: 4 times b, 16 times as many
         small, large = traced_peaks(*(["verify", "--only", f"a=10,b={b}"] for b in (50, 200)))
         assert large < 1.5 * 4 * small, (small, large)
 
     def test_verify_grid_holds_no_list_of_cells(self, monkeypatch):
-        # one cheap row per cell, so that only the grid itself could grow
-        monkeypatch.setattr(cli, "cell_isomorphisms",
-                            lambda a, b: iter([[IsoVerdict(True, IDENTITY_SUBSTITUTION)]]))
+        # one cheap class list per cell, so that only the grid itself could grow
+        monkeypatch.setattr(cli, "cell_classes", lambda a, b: [0])
+        monkeypatch.setattr(cli, "criterion_classes", lambda a, b: [0])
         few, many = traced_peaks(*(["verify", "--a-max", "1", "--b-max", b_max]
                                    for b_max in ("1000", "10000")))
         assert many < 1.5 * few, (few, many)
