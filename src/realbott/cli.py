@@ -11,11 +11,14 @@ few runs of records that share a template, each written with one str.join
 over preformatted cells; every template comes from one real, checked
 ClassificationVerdict.
 Exit codes: 0 success, 1 the ring oracle and the congruence criterion
-disagree, 2 usage error, 3 internal error (with its traceback on stderr).
+disagree, 2 usage error, 3 internal error (with its traceback on stderr),
+130 interrupted (128 + SIGINT), 141 stdout closed by its reader (128 +
+SIGPIPE, as a shell reports a filter that SIGPIPE ended), with no traceback.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from itertools import groupby, zip_longest
@@ -58,6 +61,8 @@ SCHEMA = (
 FORMATS = ("text", "csv", "json", "jsonl")
 
 INTERNAL_ERROR_EXIT = 3
+INTERRUPT_EXIT = 130
+CLOSED_PIPE_EXIT = 141
 
 
 _TRUTH = ("false", "true")  # indexed by a bool: how json and csv spell it
@@ -187,7 +192,9 @@ out_option = click.option(
 class _Group(click.Group):
     """Exits INTERNAL_ERROR_EXIT on an unexpected exception: 1 means a mismatch.
     An --out that cannot be opened is a usage error: click opens it at the
-    first write, so no file is made when another usage error comes first."""
+    first write, so no file is made when another usage error comes first.
+    A closed stdout and an interrupt each have their own exit code, which
+    click would report as 1."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -196,6 +203,14 @@ class _Group(click.Group):
             raise click.BadParameter(exc.format_message(), ctx, param_hint="'--out'") from exc
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
+        except BrokenPipeError:
+            # the reader has gone, as after `| head`: end quietly, and let
+            # Python's flush of stdout at exit go to /dev/null
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            ctx.exit(CLOSED_PIPE_EXIT)
+        except KeyboardInterrupt:
+            click.echo("realbott: interrupted", err=True)
+            ctx.exit(INTERRUPT_EXIT)
         except Exception:
             import traceback  # here, not at the top: start-up need not pay for it
 

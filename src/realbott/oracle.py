@@ -19,18 +19,19 @@ Lemma (ideals).  RingPresentation._rel2 is the second relation
 multiple of x^a.  So rings of one (a, b) cell with equal _rel2 have the
 same ideal, and the identity is an isomorphism between them.
 
-Classes.  cell_classes checks that identity from every ring to the
-first ring of its ideal.  It then walks the distinct ideals in q order and
-searches each against the class representatives found so far: the ideal
-joins the class of the first that has a witness, or becomes a
-representative.  A failed identity check is an internal fault.  Rings of
-one class are isomorphic: each is isomorphic to its ideal's first ring,
-that ideal to its representative by a searched and checked witness, and
-isomorphisms compose.  Different classes are not isomorphic: an
-isomorphism between them would compose with searched witnesses to one
-between two representatives, and the later of them was searched
-exhaustively against the earlier.  A class is named by its
-representative's first ring, which has the least q of the class.
+Lemma (images).  Let I_q = (x^a, r_q), r_q = (x+y)^q y^(b-q).  An
+invertible substitution s induces an isomorphism M(q) -> M(q') iff
+s(I_q) = I_q': it carries I_q into I_q', and both quotients have
+dimension a*b.  Then s(r_q) is a nonzero element of I_q' in degree b, so
+its cut below x^a is _rel2 of q', except when a = b, q is 0 or b and
+s(r_q) = x^a: that cut is 0, and s(I_q) is I_0 or I_b, which the identity
+and the complement reach.  Invertible substitutions join every class of a
+cell: for a, b >= 2 by the degree-1 lemma; the row a = 1 has one ideal; on
+the row b = 1 the complement carries I_0 to I_1.
+
+Classes.  In cell_classes a ring's class is the least q of the ideals that
+the cuts of its six images s(r_q) name and that pass is_graded_isomorphism.
+The identity lands on the ring's own ideal, so its failing is a fault.
 """
 
 from __future__ import annotations
@@ -149,19 +150,18 @@ def cell_classes(a: int, b: int) -> list[int]:
     rings = [RingPresentation(a, b, q) for q in range(b + 1)]
     ideals: dict[int, RingPresentation] = {}  # the first ring of each ideal, by _rel2
     for ring in rings:
-        first = ideals.setdefault(ring._rel2, ring)
-        if not is_graded_isomorphism(IDENTITY_SUBSTITUTION, ring, first):
-            raise RuntimeError(
-                f"the identity is not an isomorphism M(q={ring.q}) -> M(q={first.q}) "
-                f"within one ideal at a={a}, b={b}"
-            )
-    representatives: list[RingPresentation] = []
-    least: dict[int, int] = {}  # the least q of each ideal's class, by _rel2
-    for key, ideal in ideals.items():
-        for representative in representatives:
-            if rings_isomorphic_bruteforce(representative, ideal).isomorphic:
-                break
-        else:
-            representatives.append(representative := ideal)
-        least[key] = representative.q
-    return [least[ring._rel2] for ring in rings]
+        ideals.setdefault(ring._rel2, ring)
+    classes = []
+    for ring in rings:
+        landings = []
+        for subst in _INVERTIBLE:
+            fx, fy = subst.forms
+            image = clmul(linear_power(fx ^ fy, ring.q), linear_power(fy, b - ring.q))
+            target = ideals.get(image & ring._below_a)
+            if target is not None and is_graded_isomorphism(subst, ring, target):
+                landings.append(target.q)
+            elif subst == IDENTITY_SUBSTITUTION:
+                raise RuntimeError(f"the identity is not an isomorphism from M(q={ring.q}) "
+                                   f"within one ideal at a={a}, b={b}")
+        classes.append(min(landings))
+    return classes

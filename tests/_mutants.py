@@ -79,21 +79,25 @@ MUTANTS = (
            "ideals.setdefault(ring._rel2 & 0b111, ring)",
            "rings grouped by C(q, t) for t < 3 only, a key coarser than the ideal"),
     Mutant("oracle.py",
-           "if not is_graded_isomorphism(IDENTITY_SUBSTITUTION, ring, first):",
-           "if False:",
-           "the identity within an ideal is not checked"),
+           "elif subst == IDENTITY_SUBSTITUTION:",
+           "elif False:",
+           "a failed identity check within an ideal is not a fault"),
     Mutant("arithmetic.py",
            "return [min(_criterion_residues(b, q, m))",
            "return [max(_criterion_residues(b, q, m))",
            "criterion_classes names a class by its largest residue, not its least q"),
     Mutant("oracle.py",
-           "if rings_isomorphic_bruteforce(representative, ideal).isomorphic:",
-           "if True:",
-           "a new ideal joins the first representative without a search"),
+           "if target is not None and is_graded_isomorphism(subst, ring, target):",
+           "if target is not None:",
+           "a landing joins the class without a check"),
     Mutant("oracle.py",
-           "for representative in representatives:",
-           "for representative in ():",
-           "every ideal becomes its own class"),
+           "ideals.get(image & ring._below_a)",
+           "ideals.get(image)",
+           "the image of the second relation is not cut below x^a"),
+    Mutant("oracle.py",
+           "for subst in _INVERTIBLE:",
+           "for subst in (IDENTITY_SUBSTITUTION,):",
+           "only the identity is tried: every ideal becomes its own class"),
 )
 
 # tests/test_mutants.py is left out: in the copy it reads the mutated source,

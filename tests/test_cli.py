@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ from realbott.arithmetic import (
     classify,
     counterexample_pair,
 )
-from realbott.oracle import IsoVerdict
+from realbott.gf2poly import IDENTITY_SUBSTITUTION
 from realbott.cli import FORMATS, SCHEMA, emit_records, main
 
 from _oracles import (
@@ -532,6 +533,60 @@ class TestExitCodes:
             assert "Usage:" in result.stderr
 
 
+def cli_child(argv: list[str], **popen) -> subprocess.Popen:
+    """`python -m realbott.cli argv` in a child process that imports this
+    checkout's src/ and writes its output unbuffered."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "realbott.cli", *argv], env=env, text=True,
+                            **popen)
+
+
+class TestEndsCleanly:
+    """A reader that closes stdout early and an interrupt each end a run
+    with their own exit code, not 1 (a mismatch) or 3 (an internal fault),
+    and without a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--a", "3", "--b", "200"],
+        ["verify", "--a-max", "5", "--b-max", "40"],
+        ["classify", "--a", "10", "--b", "17", "--q", "0", "--q-prime", "16"],
+    ], ids=lambda argv: argv[0])
+    def test_closed_stdout_ends_quietly(self, argv):
+        # the read end is closed before the child starts: its first write fails
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            child = cli_child(argv, stdout=write_fd, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_fd)
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == cli.CLOSED_PIPE_EXIT == 141, err
+        assert err == ""
+
+    def test_reader_that_stops_after_one_line(self):
+        # `table --a 3 --b 200 | head -1`: the output is far larger than a
+        # pipe's buffer, so the child is still writing when the reader goes
+        child = cli_child(["table", "--a", "3", "--b", "200"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert child.stdout.readline().startswith("a  ")
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == cli.CLOSED_PIPE_EXIT, err
+        assert err == ""
+
+    def test_interrupt_exits_130(self):
+        child = cli_child(["verify", "--a-max", "64", "--b-max", "128"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert child.stdout.readline() == "a=1 b=1: 4 pairs, 0 mismatches\n"  # the run is under way
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=60)
+        assert child.returncode == cli.INTERRUPT_EXIT == 130, err
+        assert err == "realbott: interrupted\n"
+        assert "checked" not in out
+
+
 class TestReferenceDigests:
     """perfbench/run.py checks each command's stdout against the sha256 in
     perfbench/reference.json; a --help that drifts fails its warm-up, so no
@@ -612,9 +667,12 @@ class TestVerify:
         assert "MISMATCH" not in result.output
 
     def test_search_fault_is_a_mismatch(self, runner, monkeypatch):
-        # a search that never finds a witness splits every class: verify
-        # reports the pairs it now calls non-isomorphic, not a traceback
-        monkeypatch.setattr(oracle, "rings_isomorphic_bruteforce", lambda src, dst: IsoVerdict(False))
+        # a check that rejects every substitution but the identity splits
+        # every class into its ideals: verify reports the pairs it now calls
+        # non-isomorphic, not a traceback
+        check = oracle.is_graded_isomorphism
+        monkeypatch.setattr(oracle, "is_graded_isomorphism", lambda subst, src, dst: (
+            subst == IDENTITY_SUBSTITUTION and check(subst, src, dst)))
         result = runner.invoke(main, ["verify", "--only", "a=10,b=17"])
         assert result.exit_code == 1
         assert "MISMATCH a=10 b=17 q=0 q'=17: oracle=False" in result.output

@@ -7,6 +7,7 @@ from _oracles import (
     reference_graded_isomorphism,
     reference_isomorphism,
     rejects_identity_between_rings,
+    relation_polys,
     substitutions,
 )
 from realbott.arithmetic import cohomology_criterion, criterion_classes, diffeo_criterion
@@ -15,6 +16,8 @@ from realbott.gf2poly import (
     COMPLEMENT_SUBSTITUTION,
     IDENTITY_SUBSTITUTION,
     LinearSubstitution,
+    PolyGF2,
+    substitute_linear,
 )
 from realbott import oracle
 from realbott.oracle import (
@@ -211,7 +214,7 @@ class TestAgainstReferenceSearch:
 
 
 class TestCellIsomorphisms:
-    @pytest.mark.parametrize("a", range(1, 9))
+    @pytest.mark.parametrize("a", range(1, 13))
     def test_agrees_with_all_pairs_search(self, a):
         # b <= 12, the degenerate rows a = 1 and b = 1 included; entry q is
         # the least q' that a direct search finds isomorphic to q
@@ -291,6 +294,32 @@ class TestLemmas:
                       if subst.x_image[0] * subst.y_image[1] != subst.x_image[1] * subst.y_image[0]]
         assert len(invertible) == 6
         assert list(oracle._INVERTIBLE) == invertible
+
+    @pytest.mark.parametrize("a", range(1, 13))
+    def test_isomorphic_rings_are_joined_by_an_image_that_names_the_target(self, a):
+        # the images lemma: every pair the search finds isomorphic has an
+        # invertible witness s whose s(r_q), expanded by the reference
+        # polynomial arithmetic and cut below x^a, is the target's _rel2; a
+        # passing witness whose cut misses it has s(r_q) = x^a, and occurs
+        # only at a = b with q in {0, b}
+        misses = set()
+        for b in range(1, 13):
+            rings = [RingPresentation(a, b, q) for q in range(b + 1)]
+            for src in rings:
+                images = {subst: substitute_linear(relation_polys(src)[1], subst)
+                          for subst in oracle._INVERTIBLE}
+                cuts = {subst: sum(1 << i for i, _ in image.terms if i < a)
+                        for subst, image in images.items()}
+                for dst in rings:
+                    passing = [subst for subst in oracle._INVERTIBLE
+                               if is_graded_isomorphism(subst, src, dst)]
+                    if rings_isomorphic_bruteforce(src, dst).isomorphic:
+                        assert any(cuts[subst] == dst._rel2 for subst in passing), (b, src, dst)
+                    for subst in passing:
+                        if cuts[subst] != dst._rel2:
+                            assert images[subst] == PolyGF2([(a, 0)]), (b, src, dst, subst)
+                            misses.add((b, src.q))
+        assert misses == {(a, 0), (a, a)}
 
     @pytest.mark.parametrize("a", range(1, 11))
     def test_equal_rel2_means_equal_ideal(self, a):
