@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from itertools import groupby, zip_longest
+from itertools import groupby, product, zip_longest
 from operator import attrgetter, itemgetter
 from typing import IO, Iterable
 
@@ -341,12 +341,13 @@ def verify(a_max, b_max, only, extended, out) -> None:
     cases = 0
     mismatches = 0
     for a, b in cells:
-        classes = list(zip(cell_classes(a, b), criterion_classes(a, b)))
+        by_oracle, by_criterion = cell_classes(a, b), criterion_classes(a, b)
         cell_mismatches = 0
-        for q, (oracle_q, criterion_q) in enumerate(classes):
-            for q_prime, (oracle_p, criterion_p) in enumerate(classes):
-                isomorphic = oracle_q == oracle_p
-                if isomorphic != (criterion_q == criterion_p):
+        # both lists name each class by its least member, so equal lists are equal partitions
+        if by_oracle != by_criterion:
+            for q, q_prime in product(range(b + 1), repeat=2):
+                isomorphic = by_oracle[q] == by_oracle[q_prime]
+                if isomorphic != (by_criterion[q] == by_criterion[q_prime]):
                     cell_mismatches += 1
                     out.write(f"MISMATCH a={a} b={b} q={q} q'={q_prime}: oracle={isomorphic}\n")
         cases += (b + 1) ** 2

@@ -29,9 +29,12 @@ and the complement reach.  Invertible substitutions join every class of a
 cell: for a, b >= 2 by the degree-1 lemma; the row a = 1 has one ideal; on
 the row b = 1 the complement carries I_0 to I_1.
 
-Classes.  In cell_classes a ring's class is the least q of the ideals that
-the cuts of its six images s(r_q) name and that pass is_graded_isomorphism.
-The identity lands on the ring's own ideal, so its failing is a fault.
+Classes.  By the ideals lemma a ring's class depends only on its ideal, so
+cell_classes lands the images s(r_q) once per ideal, from its first ring,
+and names the class by the least q of the ideals that the cuts name and
+that pass is_graded_isomorphism.  Only the identity check, from each ring
+to the first ring of its ideal, is per ring; it is the identity's landing,
+and its failing is a fault.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ _INVERTIBLE = tuple(
     subst for subst in _SUBSTITUTIONS
     if subst.x_image[0] & subst.y_image[1] ^ subst.x_image[1] & subst.y_image[0]
 )
+_NONIDENTITY = tuple(subst for subst in _INVERTIBLE if subst != IDENTITY_SUBSTITUTION)
 
 
 def _check_same_shape(src: RingPresentation, dst: RingPresentation) -> None:
@@ -96,22 +100,6 @@ def induces_homomorphism(
     return not dst.reduce(image, src.b)
 
 
-def _rank_bits(rows: list[int]) -> int:
-    """Rank over GF(2) of rows given as bitmasks (xor elimination)."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            lead = row.bit_length() - 1
-            if lead in pivots:
-                row ^= pivots[lead]
-            else:
-                pivots[lead] = row
-                rank += 1
-                break
-    return rank
-
-
 def is_graded_isomorphism(
     subst: LinearSubstitution, src: RingPresentation, dst: RingPresentation
 ) -> bool:
@@ -125,7 +113,8 @@ def is_graded_isomorphism(
     if not induces_homomorphism(subst, src, dst):
         return False
     fx, fy = subst.forms  # each form mask is its degree-1 piece
-    return _rank_bits([dst.reduce(fx, 1), dst.reduce(fy, 1)]) == betti(dst, 1)
+    # over GF(2) two vectors are dependent iff one is zero or they are equal
+    return len({dst.reduce(fx, 1), dst.reduce(fy, 1)} - {0}) == betti(dst, 1)
 
 
 def rings_isomorphic_bruteforce(
@@ -146,22 +135,26 @@ def rings_isomorphic_bruteforce(
 def cell_classes(a: int, b: int) -> list[int]:
     """Entry q is the least q' with M(q') isomorphic to M(q) (see the module
     docstring), so entries q and q' are equal exactly when M(q) and M(q')
-    are isomorphic.  RuntimeError is raised if an identity check fails."""
+    are isomorphic.  The class depends only on the ideal, so the landings
+    of the five other invertible substitutions are computed and checked
+    once per distinct _rel2.  The identity lands on the ideal itself; it is
+    checked from every ring to the first ring of its ideal, and
+    RuntimeError is raised if that check fails."""
     rings = [RingPresentation(a, b, q) for q in range(b + 1)]
     ideals: dict[int, RingPresentation] = {}  # the first ring of each ideal, by _rel2
     for ring in rings:
-        ideals.setdefault(ring._rel2, ring)
-    classes = []
-    for ring in rings:
-        landings = []
-        for subst in _INVERTIBLE:
+        first = ideals.setdefault(ring._rel2, ring)
+        if not is_graded_isomorphism(IDENTITY_SUBSTITUTION, ring, first):
+            raise RuntimeError(f"the identity is not an isomorphism from M(q={ring.q}) "
+                               f"within one ideal at a={a}, b={b}")
+    least: dict[int, int] = {}  # the class of each ideal, by _rel2
+    for key, ring in ideals.items():
+        landings = [ring.q]  # the identity's, checked above
+        for subst in _NONIDENTITY:
             fx, fy = subst.forms
             image = clmul(linear_power(fx ^ fy, ring.q), linear_power(fy, b - ring.q))
             target = ideals.get(image & ring._below_a)
             if target is not None and is_graded_isomorphism(subst, ring, target):
                 landings.append(target.q)
-            elif subst == IDENTITY_SUBSTITUTION:
-                raise RuntimeError(f"the identity is not an isomorphism from M(q={ring.q}) "
-                                   f"within one ideal at a={a}, b={b}")
-        classes.append(min(landings))
-    return classes
+        least[key] = min(landings)
+    return [least[ring._rel2] for ring in rings]

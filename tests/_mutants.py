@@ -55,8 +55,8 @@ MUTANTS = (
            "last = min(d - self.b - 1, self.a - 1)",
            "reduce leaves the last bit with y-exponent >= b unrewritten"),
     Mutant("oracle.py",
-           "return _rank_bits([dst.reduce(fx, 1), dst.reduce(fy, 1)]) == betti(dst, 1)",
-           "return _rank_bits([dst.reduce(fx, 1), dst.reduce(fy, 1)]) >= 1",
+           "return len({dst.reduce(fx, 1), dst.reduce(fy, 1)} - {0}) == betti(dst, 1)",
+           "return len({dst.reduce(fx, 1), dst.reduce(fy, 1)} - {0}) >= 1",
            "a substitution of degree-1 rank 1 passes as an isomorphism"),
     Mutant("cohomology.py",
            "((0b10, pres.a), (0b01, pres.b - pres.q), (0b11, pres.q))",
@@ -79,8 +79,8 @@ MUTANTS = (
            "ideals.setdefault(ring._rel2 & 0b111, ring)",
            "rings grouped by C(q, t) for t < 3 only, a key coarser than the ideal"),
     Mutant("oracle.py",
-           "elif subst == IDENTITY_SUBSTITUTION:",
-           "elif False:",
+           "if not is_graded_isomorphism(IDENTITY_SUBSTITUTION, ring, first):",
+           "if False:",
            "a failed identity check within an ideal is not a fault"),
     Mutant("arithmetic.py",
            "return [min(_criterion_residues(b, q, m))",
@@ -95,9 +95,25 @@ MUTANTS = (
            "ideals.get(image)",
            "the image of the second relation is not cut below x^a"),
     Mutant("oracle.py",
-           "for subst in _INVERTIBLE:",
-           "for subst in (IDENTITY_SUBSTITUTION,):",
+           "for subst in _NONIDENTITY:",
+           "for subst in ():",
            "only the identity is tried: every ideal becomes its own class"),
+    Mutant("cli.py",
+           "if by_oracle != by_criterion:",
+           "if False:",
+           "verify never compares the pairs of a cell, even when the two lists differ"),
+    Mutant("oracle.py",
+           "len({dst.reduce(fx, 1), dst.reduce(fy, 1)} - {0}) == betti(dst, 1)",
+           "len({dst.reduce(fx, 1), dst.reduce(fy, 1)}) == betti(dst, 1)",
+           "the two-row degree-1 rank counts the zero vector"),
+    Mutant("oracle.py",
+           "least[key] = min(landings)",
+           "least[key] = max(landings)",
+           "an ideal's class is named by its largest landing, not its least"),
+    Mutant("oracle.py",
+           "is_graded_isomorphism(IDENTITY_SUBSTITUTION, ring, first)",
+           "is_graded_isomorphism(IDENTITY_SUBSTITUTION, first, first)",
+           "the identity is checked only from the first ring of each ideal"),
 )
 
 # tests/test_mutants.py is left out: in the copy it reads the mutated source,

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -42,6 +43,10 @@ REFERENCE_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "refe
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def masked_elapsed(output: str) -> str:
+    return re.sub(r" in \d+\.\d\ds:", " in _s:", output)
 
 
 def records_of(output: str) -> list[dict]:
@@ -677,6 +682,39 @@ class TestVerify:
         assert result.exit_code == 1
         assert "MISMATCH a=10 b=17 q=0 q'=17: oracle=False" in result.output
         assert "Traceback" not in result.output + result.stderr
+
+    def test_renamed_classes_are_no_mismatch(self, runner, monkeypatch):
+        # the same partition, each class named by its largest member: the lists
+        # differ, so every pair is compared, and none mismatches
+        classes = cli.cell_classes
+
+        def largest_member_names(a, b):
+            labels = classes(a, b)
+            return [max(p for p, c in enumerate(labels) if c == label) for label in labels]
+
+        assert largest_member_names(10, 17) != classes(10, 17)
+        monkeypatch.setattr(cli, "cell_classes", largest_member_names)
+        result = runner.invoke(main, ["verify", "--only", "a=10,b=17"])
+        assert result.exit_code == 0
+        assert masked_elapsed(result.stdout) == (
+            "a=10 b=17: 324 pairs, 0 mismatches\n"
+            "checked 324 pairs in _s: mismatches=0\n"
+        )
+
+    def test_split_classes_report_every_pair_in_order(self, runner, monkeypatch):
+        # at a=3, b=4 the oracle joins q=0 with q=4 and q=1 with q=3; a criterion
+        # that splits every class mismatches exactly on those ordered pairs, q-major
+        monkeypatch.setattr(cli, "criterion_classes", lambda a, b: list(range(b + 1)))
+        result = runner.invoke(main, ["verify", "--only", "a=3,b=4"])
+        assert result.exit_code == 1
+        assert masked_elapsed(result.stdout) == (
+            "MISMATCH a=3 b=4 q=0 q'=4: oracle=True\n"
+            "MISMATCH a=3 b=4 q=1 q'=3: oracle=True\n"
+            "MISMATCH a=3 b=4 q=3 q'=1: oracle=True\n"
+            "MISMATCH a=3 b=4 q=4 q'=0: oracle=True\n"
+            "a=3 b=4: 25 pairs, 4 mismatches\n"
+            "checked 25 pairs in _s: mismatches=4\n"
+        )
 
     def test_mismatch_exits_one(self, runner, monkeypatch):
         # force a wrong criterion, every q its own class, to exercise the failure path
