@@ -29,7 +29,6 @@ from .gf2poly import (
     substitute_linear,
 )
 from .oracle import (
-    IsoVerdict,
     cell_classes,
     induces_homomorphism,
     is_graded_isomorphism,
@@ -50,7 +49,6 @@ __all__ = [
     "nonvanishing_check",
     "betti",
     "total_sw_class",
-    "IsoVerdict",
     "cell_classes",
     "induces_homomorphism",
     "is_graded_isomorphism",

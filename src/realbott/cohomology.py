@@ -61,11 +61,6 @@ class RingPresentation:
         object.__setattr__(self, "_rel2", sierpinski_row(self.q) & below_a)
 
     @property
-    def dimension(self) -> int:
-        """Total dimension of the ring as a GF(2) vector space: a*b."""
-        return self.a * self.b
-
-    @property
     def top_degree(self) -> int:
         """Largest degree with a nonzero graded piece: a + b - 2."""
         return self.a + self.b - 2

@@ -1,8 +1,10 @@
 """Bivariate polynomials over GF(2), one bitmask per homogeneous degree.
 
 Bit i of the degree-d mask is the coefficient of x^i y^(d-i): addition is
-xor and the product of two pieces is a carry-less multiply.  All arithmetic
-is exact; Python's arbitrary-precision integers cannot overflow.
+xor and the product of two pieces is a carry-less multiply.  So a linear
+form cx*x + cy*y is the degree-1 mask cx << 1 | cy, and a linear
+substitution is the pair of form masks of the images of x and y.  All
+arithmetic is exact; Python's arbitrary-precision integers cannot overflow.
 """
 
 from __future__ import annotations
@@ -143,35 +145,28 @@ class PolyGF2:
 
 @dataclass(frozen=True)
 class LinearSubstitution:
-    """Images of the degree-1 generators as linear forms in x, y.
+    """Images of the degree-1 generators as form masks cx << 1 | cy.
 
-    x_image = (cx, cy) sends x to cx*x + cy*y, and likewise y_image sends y.
-    Coefficients are bits, so there are 16 substitutions in total.
+    fx sends x to cx*x + cy*y, and likewise fy sends y: 0, y, x and x+y are
+    0b00, 0b01, 0b10 and 0b11, so there are 16 substitutions in total.
     """
 
-    x_image: tuple[int, int]
-    y_image: tuple[int, int]
+    fx: int
+    fy: int
 
     def __post_init__(self):
-        for c in (*self.x_image, *self.y_image):
-            if c not in (0, 1):
-                raise ValueError("substitution coefficients must be bits")
-
-    @property
-    def forms(self) -> tuple[int, int]:
-        """The images of x and y as degree-1 masks."""
-        (xx, xy), (yx, yy) = self.x_image, self.y_image
-        return xx << 1 | xy, yx << 1 | yy
+        if self.fx not in range(4) or self.fy not in range(4):
+            raise ValueError("substitution images must be form masks in 0..3")
 
     def __str__(self) -> str:
-        return f"x->{_FORM_NAMES[self.x_image]}, y->{_FORM_NAMES[self.y_image]}"
+        return f"x->{_FORM_NAMES[self.fx]}, y->{_FORM_NAMES[self.fy]}"
 
 
-IDENTITY_SUBSTITUTION = LinearSubstitution((1, 0), (0, 1))
+IDENTITY_SUBSTITUTION = LinearSubstitution(0b10, 0b01)
 # fixes x, sends y to x + y: realizes the q <-> b - q equivalence
-COMPLEMENT_SUBSTITUTION = LinearSubstitution((1, 0), (1, 1))
+COMPLEMENT_SUBSTITUTION = LinearSubstitution(0b10, 0b11)
 
-_FORM_NAMES = {(0, 0): "0", (1, 0): "x", (0, 1): "y", (1, 1): "x+y"}
+_FORM_NAMES = ("0", "y", "x", "x+y")  # indexed by form mask
 
 
 def substitute_linear(p: PolyGF2, subst: LinearSubstitution) -> PolyGF2:
@@ -180,11 +175,10 @@ def substitute_linear(p: PolyGF2, subst: LinearSubstitution) -> PolyGF2:
     This is the GF(2)-algebra endomorphism of the polynomial ring determined
     by the substitution: it commutes with + and *.
     """
-    fx, fy = subst.forms
     images = []
     for d, mask in enumerate(p.masks):
         image = 0
         for i in _bits(mask):
-            image ^= clmul(linear_power(fx, i), linear_power(fy, d - i))
+            image ^= clmul(linear_power(subst.fx, i), linear_power(subst.fy, d - i))
         images.append(image)
     return PolyGF2.from_masks(images)

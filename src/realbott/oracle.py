@@ -1,17 +1,20 @@
 """Brute-force decision of graded-ring isomorphism, with witnesses.
 
 Both rings are generated in degree 1, so a graded unital isomorphism is
-determined by a substitution x -> L1, y -> L2 with L1, L2 linear forms:
-16 candidates, each checked semantically.  Does it carry the source
-relations into the target ideal, and is the induced map bijective?
+determined by a substitution x -> L1, y -> L2 with L1, L2 linear forms,
+each a degree-1 form mask: 16 candidates, each checked semantically.  Does
+it carry the source relations into the target ideal, and is the induced map
+bijective?  rings_isomorphic_bruteforce returns the first substitution that
+passes, its witness, or None.
 
 Lemma (degree 1).  The image of a ring map is a subalgebra and the target
 is generated in degree 1, so the map is onto, hence bijective (both rings
 have dimension a*b), iff L1 and L2 span the target's degree-1 piece: a
 homomorphism is an isomorphism iff their reduced images have rank
-betti(dst, 1).  The tests check this against an all-degree rank test.
-When a, b >= 2 that rank is 2, so only the six substitutions in GL2(F2)
-can pass, and only they are searched.  On the rows a = 1 and b = 1 a
+betti(dst, 1).  Over GF(2) the rank of two masks is the number of distinct
+nonzero ones (_rank).  The tests check this against an all-degree rank
+test.  When a, b >= 2 that rank is 2, so only the six substitutions in
+GL2(F2) can pass, and only they are searched.  On the rows a = 1 and b = 1 a
 singular substitution can be an isomorphism, and all 16 are searched.
 
 Lemma (ideals).  RingPresentation._rel2 is the second relation
@@ -39,14 +42,12 @@ and its failing is a fault.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .cohomology import RingPresentation, betti
 from .gf2poly import IDENTITY_SUBSTITUTION, LinearSubstitution, clmul, linear_power
 
 __all__ = [
-    "IsoVerdict",
     "cell_classes",
     "induces_homomorphism",
     "is_graded_isomorphism",
@@ -54,25 +55,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
-    """Result of an isomorphism search; witness present iff isomorphic."""
-
-    isomorphic: bool
-    witness: Optional[LinearSubstitution] = None
-
-    def __post_init__(self):
-        if self.isomorphic != (self.witness is not None):
-            raise ValueError("witness must be present exactly when isomorphic")
+def _rank(u: int, v: int) -> int:
+    """The rank of two degree-1 masks over GF(2): the number of distinct nonzero ones."""
+    return len({u, v} - {0})
 
 
-_FORMS = ((0, 0), (0, 1), (1, 0), (1, 1))
-_SUBSTITUTIONS = tuple(LinearSubstitution(fx, fy) for fx in _FORMS for fy in _FORMS)
+# form masks 0, y, x, x+y: the search order
+_SUBSTITUTIONS = tuple(LinearSubstitution(fx, fy) for fx in range(4) for fy in range(4))
 # the six in GL2(F2), in search order: the only candidates when a, b >= 2
-_INVERTIBLE = tuple(
-    subst for subst in _SUBSTITUTIONS
-    if subst.x_image[0] & subst.y_image[1] ^ subst.x_image[1] & subst.y_image[0]
-)
+_INVERTIBLE = tuple(subst for subst in _SUBSTITUTIONS if _rank(subst.fx, subst.fy) == 2)
 _NONIDENTITY = tuple(subst for subst in _INVERTIBLE if subst != IDENTITY_SUBSTITUTION)
 
 
@@ -93,7 +84,7 @@ def induces_homomorphism(
     L1^a and (L1+L2)^q L2^(b-q), homogeneous of degrees a and b.
     """
     _check_same_shape(src, dst)
-    fx, fy = subst.forms
+    fx, fy = subst.fx, subst.fy
     if dst.reduce(linear_power(fx, src.a), src.a):
         return False
     image = clmul(linear_power(fx ^ fy, src.q), linear_power(fy, src.b - src.q))
@@ -112,24 +103,23 @@ def is_graded_isomorphism(
     """
     if not induces_homomorphism(subst, src, dst):
         return False
-    fx, fy = subst.forms  # each form mask is its degree-1 piece
-    # over GF(2) two vectors are dependent iff one is zero or they are equal
-    return len({dst.reduce(fx, 1), dst.reduce(fy, 1)} - {0}) == betti(dst, 1)
+    # each form mask is its degree-1 piece
+    return _rank(dst.reduce(subst.fx, 1), dst.reduce(subst.fy, 1)) == betti(dst, 1)
 
 
 def rings_isomorphic_bruteforce(
     src: RingPresentation, dst: RingPresentation
-) -> IsoVerdict:
+) -> Optional[LinearSubstitution]:
     """Search the substitutions x -> L1, y -> L2, L1 the outer loop and each
-    form in the order 0, y, x, x+y, and return the first working witness,
-    if any.  When betti(dst, 1) == 2 only the six invertible ones are
-    tried: by the degree-1 lemma the other ten fail the rank check, so the
-    verdict and the first witness are those of all 16."""
+    form in the order 0, y, x, x+y, and return the first witness of an
+    isomorphism, or None if there is none.  When betti(dst, 1) == 2 only
+    the six invertible ones are tried: by the degree-1 lemma the other ten
+    fail the rank check, so the first witness is that of all 16."""
     _check_same_shape(src, dst)
     for subst in _SUBSTITUTIONS if betti(dst, 1) < 2 else _INVERTIBLE:
         if is_graded_isomorphism(subst, src, dst):
-            return IsoVerdict(True, subst)
-    return IsoVerdict(False)
+            return subst
+    return None
 
 
 def cell_classes(a: int, b: int) -> list[int]:
@@ -151,8 +141,8 @@ def cell_classes(a: int, b: int) -> list[int]:
     for key, ring in ideals.items():
         landings = [ring.q]  # the identity's, checked above
         for subst in _NONIDENTITY:
-            fx, fy = subst.forms
-            image = clmul(linear_power(fx ^ fy, ring.q), linear_power(fy, b - ring.q))
+            image = clmul(linear_power(subst.fx ^ subst.fy, ring.q),
+                          linear_power(subst.fy, b - ring.q))
             target = ideals.get(image & ring._below_a)
             if target is not None and is_graded_isomorphism(subst, ring, target):
                 landings.append(target.q)

@@ -55,8 +55,8 @@ MUTANTS = (
            "last = min(d - self.b - 1, self.a - 1)",
            "reduce leaves the last bit with y-exponent >= b unrewritten"),
     Mutant("oracle.py",
-           "return len({dst.reduce(fx, 1), dst.reduce(fy, 1)} - {0}) == betti(dst, 1)",
-           "return len({dst.reduce(fx, 1), dst.reduce(fy, 1)} - {0}) >= 1",
+           "return _rank(dst.reduce(subst.fx, 1), dst.reduce(subst.fy, 1)) == betti(dst, 1)",
+           "return _rank(dst.reduce(subst.fx, 1), dst.reduce(subst.fy, 1)) >= 1",
            "a substitution of degree-1 rank 1 passes as an isomorphism"),
     Mutant("cohomology.py",
            "((0b10, pres.a), (0b01, pres.b - pres.q), (0b11, pres.q))",
@@ -103,8 +103,8 @@ MUTANTS = (
            "if False:",
            "verify never compares the pairs of a cell, even when the two lists differ"),
     Mutant("oracle.py",
-           "len({dst.reduce(fx, 1), dst.reduce(fy, 1)} - {0}) == betti(dst, 1)",
-           "len({dst.reduce(fx, 1), dst.reduce(fy, 1)}) == betti(dst, 1)",
+           "return len({u, v} - {0})",
+           "return len({u, v})",
            "the two-row degree-1 rank counts the zero vector"),
     Mutant("oracle.py",
            "least[key] = min(landings)",
@@ -114,6 +114,26 @@ MUTANTS = (
            "is_graded_isomorphism(IDENTITY_SUBSTITUTION, ring, first)",
            "is_graded_isomorphism(IDENTITY_SUBSTITUTION, first, first)",
            "the identity is checked only from the first ring of each ideal"),
+    Mutant("oracle.py",
+           "if _rank(subst.fx, subst.fy) == 2)",
+           "if _rank(subst.fx, subst.fy) >= 1)",
+           "the invertible substitutions admit those of rank 1"),
+    Mutant("gf2poly.py",
+           '_FORM_NAMES = ("0", "y", "x", "x+y")',
+           '_FORM_NAMES = ("0", "x", "y", "x+y")',
+           "witnesses spell the form masks of x and y swapped"),
+    Mutant("gf2poly.py",
+           "if self.fx not in range(4) or self.fy not in range(4):",
+           "if self.fx not in range(0b1000) or self.fy not in range(0b1000):",
+           "LinearSubstitution accepts form masks up to 0b111"),
+    Mutant("oracle.py",
+           "            return subst\n    return None",
+           "            return IDENTITY_SUBSTITUTION\n    return None",
+           "the search returns the identity in place of its witness"),
+    Mutant("arithmetic.py",
+           "if (witness is not None) != verdict.cohomology_isomorphic:",
+           "if (witness is None) != verdict.cohomology_isomorphic:",
+           "classify tests a missing witness against the criterion"),
 )
 
 # tests/test_mutants.py is left out: in the copy it reads the mutated source,

@@ -9,7 +9,8 @@ Some helpers the library does not need live here too, so that the tests
 keep them: binom_mod2 and binomial_rows_match (binomial parity by digit
 domination), relation_polys and basis (the ideal's generators and the
 monomial basis of a presentation), SWAP_SUBSTITUTION and substitutions()
-(the oracle's 16 maps, in its search order), classify_row and
+(the oracle's 16 maps, in its search order), substitution and images
+(between the library's form masks and (cx, cy) pairs), classify_row and
 counterexample_row (the library's criteria_runs and counterexample_cells
 expanded into verdicts), and dumps_record (one jsonl record).
 radon_hurwitz is the Radon-Hurwitz number, against which k(a) is checked.
@@ -166,13 +167,28 @@ def substitute_terms(terms, x_image, y_image) -> frozenset:
 
 
 LINEAR_FORMS = ((0, 0), (0, 1), (1, 0), (1, 1))  # 0, y, x, x+y as (cx, cy)
-SWAP_SUBSTITUTION = LinearSubstitution((0, 1), (1, 0))
+
+
+def substitution(x_image, y_image) -> LinearSubstitution:
+    """The library's substitution x -> x_image, y -> y_image, each a linear
+    form (cx, cy), whose form mask is cx << 1 | cy."""
+    (xx, xy), (yx, yy) = x_image, y_image
+    return LinearSubstitution(xx << 1 | xy, yx << 1 | yy)
+
+
+def images(subst: LinearSubstitution):
+    """The images (x_image, y_image) of a library substitution, each a
+    linear form (cx, cy)."""
+    return tuple((form >> 1, form & 1) for form in (subst.fx, subst.fy))
+
+
+SWAP_SUBSTITUTION = substitution((0, 1), (1, 0))
 
 
 def substitutions() -> list[LinearSubstitution]:
     """The 16 maps x -> x_image, y -> y_image, in the order the oracle
     searches them: x_image the outer loop over LINEAR_FORMS."""
-    return [LinearSubstitution(x_image, y_image)
+    return [substitution(x_image, y_image)
             for x_image in LINEAR_FORMS for y_image in LINEAR_FORMS]
 
 

@@ -14,6 +14,7 @@ from realbott.gf2poly import (
 from _oracles import (
     SWAP_SUBSTITUTION,
     binom_mod2,
+    images,
     pascal_mod2_rows,
     product_terms,
     substitute_terms,
@@ -43,11 +44,7 @@ wide_polys = st.builds(
         st.tuples(st.integers(0, 80), st.integers(0, 80)), max_size=12
     ),
 )
-substitutions = st.builds(
-    LinearSubstitution,
-    st.tuples(st.integers(0, 1), st.integers(0, 1)),
-    st.tuples(st.integers(0, 1), st.integers(0, 1)),
-)
+substitutions = st.builds(LinearSubstitution, st.integers(0, 3), st.integers(0, 3))
 
 
 class TestAdd:
@@ -174,13 +171,14 @@ class TestSubstitution:
         )
 
     def test_sixteen_substitutions_exist(self):
-        forms = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        built = {LinearSubstitution(fx, fy) for fx in forms for fy in forms}
+        built = {LinearSubstitution(fx, fy) for fx in range(4) for fy in range(4)}
         assert len(built) == 16
 
     def test_non_bit_coefficients_rejected(self):
-        with pytest.raises(ValueError):
-            LinearSubstitution((2, 0), (0, 1))
+        # a mask outside 0..3 has a coefficient that is not a bit
+        for fx, fy in [(4, 1), (2, 4), (-1, 1), (2, 7)]:
+            with pytest.raises(ValueError):
+                LinearSubstitution(fx, fy)
 
     @given(polys, polys, substitutions)
     def test_additive(self, p, q, subst):
@@ -190,9 +188,7 @@ class TestSubstitution:
 
     @given(polys, substitutions)
     def test_matches_expansion_into_linear_forms(self, p, subst):
-        assert substitute_linear(p, subst).terms == substitute_terms(
-            p.terms, subst.x_image, subst.y_image
-        )
+        assert substitute_linear(p, subst).terms == substitute_terms(p.terms, *images(subst))
 
     @given(polys, polys, substitutions)
     def test_multiplicative(self, p, q, subst):
