@@ -3,13 +3,11 @@ projectivized sums of real line bundles over real projective space."""
 
 from .arithmetic import (
     ClassificationVerdict,
-    OracleDisagreement,
     classify,
     cohomology_criterion,
     counterexample_pair,
     diffeo_criterion,
     h_of,
-    homotopy_criterion,
     k_of,
     rigidity_holds,
 )
@@ -57,10 +55,8 @@ __all__ = [
     "k_of",
     "cohomology_criterion",
     "diffeo_criterion",
-    "homotopy_criterion",
     "rigidity_holds",
     "counterexample_pair",
     "ClassificationVerdict",
-    "OracleDisagreement",
     "classify",
 ]

@@ -23,13 +23,11 @@ __all__ = [
     "cohomology_criterion",
     "criterion_classes",
     "diffeo_criterion",
-    "homotopy_criterion",
     "rigidity_holds",
     "counterexample_pair",
-    "counterexample_cells",
+    "counterexample_runs",
     "counterexample_maxima",
     "ClassificationVerdict",
-    "OracleDisagreement",
     "classify",
     "criteria_runs",
 ]
@@ -117,11 +115,6 @@ def diffeo_criterion(a: int, b: int, q: int, q_prime: int) -> bool:
     return _congruent_to_q_or_complement(b, q, q_prime, _diffeo_modulus(k_of(a), b))
 
 
-# Homotopy equivalence holds exactly when diffeomorphism does; alias, not a
-# copy, so there is a single source of truth.
-homotopy_criterion = diffeo_criterion
-
-
 def _last_rigid_b(a: int, cohomology_modulus: int) -> float:
     """The largest b at which rigidity holds for this a (infinite when every
     b does): rigidity is a <= 9 or b <= 2^h(a)."""
@@ -188,23 +181,11 @@ class ClassificationVerdict:
             raise RuntimeError("homotopy equivalence must coincide with diffeomorphism")
 
 
-class OracleDisagreement(RuntimeError):
-    """The ring oracle and the congruence criterion gave different verdicts."""
-
-
-def classify(
-    a: int, b: int, q: int, q_prime: int, with_oracle: bool = False
-) -> ClassificationVerdict:
-    """Apply all three criteria to one pair; optionally run the ring oracle.
-
-    With with_oracle=True the brute-force isomorphism search is run and its
-    witness attached.  A disagreement between the oracle and the congruence
-    criterion raises OracleDisagreement, since it would mean the
-    implementation is broken.
-    """
+def classify(a: int, b: int, q: int, q_prime: int) -> ClassificationVerdict:
+    """Apply all three criteria to one pair."""
     _check_pair_ranges(a, b, q, q_prime)
     diffeo = diffeo_criterion(a, b, q, q_prime)
-    verdict = ClassificationVerdict(
+    return ClassificationVerdict(
         a=a,
         b=b,
         q=q,
@@ -215,22 +196,6 @@ def classify(
         diffeomorphic=diffeo,
         homotopy_equivalent=diffeo,
     )
-    if with_oracle:
-        from .cohomology import RingPresentation
-        from .oracle import rings_isomorphic_bruteforce
-
-        witness = rings_isomorphic_bruteforce(
-            RingPresentation(a, b, q), RingPresentation(a, b, q_prime)
-        )
-        if (witness is not None) != verdict.cohomology_isomorphic:
-            raise OracleDisagreement(
-                f"ring oracle disagrees with the congruence criterion on "
-                f"(a={a}, b={b}, q={q}, q'={q_prime}): oracle says "
-                f"{witness is not None}, criterion says "
-                f"{verdict.cohomology_isomorphic}"
-            )
-        verdict.oracle_witness = witness
-    return verdict
 
 
 def criteria_runs(a: int, b: int, q: int) -> tuple[int, int, list[tuple]]:
@@ -254,28 +219,32 @@ def criteria_runs(a: int, b: int, q: int) -> tuple[int, int, list[tuple]]:
     return h, k, [(truth, start, stop) for (truth, start), stop in zip(runs, stops)]
 
 
-def counterexample_cells(a: int, b_max: int) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """h(a), k(a) and the cells (b, *counterexample_pair(a, b)) for every
-    b <= b_max where rigidity fails (b > 2^h(a)), in b order; none when
-    a <= 9.  a and b_max are checked, and both moduli computed, once for the
-    row; a constructed pair that the criteria's congruence does not make a
+def counterexample_runs(a: int, b_max: int) -> tuple[int, int, list[tuple]]:
+    """h(a), k(a) and, in b order, the maximal runs (pair, start, stop) of the
+    b <= b_max where rigidity fails (b > 2^h(a)) that share one constructed
+    pair counterexample_pair(a, b); none when a <= 9.  a and b_max are
+    checked, and both moduli computed, once for the row; every b is checked,
+    and a constructed pair that the criteria's congruence does not make a
     counterexample raises RuntimeError, as in counterexample_pair."""
     _check_a(a)
     _check_b(b_max, "b_max")
     h, k = h_of(a), k_of(a)
     cohomology_modulus, diffeo_modulus = 2 ** h, _diffeo_modulus(k, b_max)
-    cells = []
+    runs = []
     for b in range(min(_last_rigid_b(a, cohomology_modulus), b_max) + 1, b_max + 1):
         q, q_prime = pair = _construction(b, cohomology_modulus)
         cohomology = _congruent_to_q_or_complement(b, q, q_prime, cohomology_modulus)
         if not cohomology or _congruent_to_q_or_complement(b, q, q_prime, diffeo_modulus):
             raise _not_a_counterexample(a, b, pair)
-        cells.append((b, q, q_prime))
-    return h, k, cells
+        if runs and runs[-1][0] == pair:
+            runs[-1] = (pair, runs[-1][1], b + 1)
+        else:
+            runs.append((pair, b, b + 1))
+    return h, k, runs
 
 
 def counterexample_maxima(a: int, b_max: int) -> Optional[tuple[int, ...]]:
-    """The largest (a, b, q, q', h, k) over the cells of counterexample_cells(a,
+    """The largest (a, b, q, q', h, k) over the cells of counterexample_runs(a,
     b_max), in O(1); None when there are none.  Those cells run over b in
     (2^h(a), b_max], and _construction(b, m) is (1, m + 1) at a multiple of m,
     (0, m) elsewhere: so the maxima are those of its pairs at b_max and at the

@@ -10,6 +10,8 @@ the oracle's and the criterion's, as b + 1 class names each.  A row is a
 few runs of records that share a template, each written with one str.join
 over preformatted cells; every template comes from one real, checked
 ClassificationVerdict.
+classify --oracle and verify compare the ring oracle with the congruence
+criterion here; the library only computes each side.
 Exit codes: 0 success, 1 the ring oracle and the congruence criterion
 disagree, 2 usage error, 3 internal error (with its traceback on stderr),
 130 interrupted (128 + SIGINT), 141 stdout closed by its reader (128 +
@@ -21,17 +23,16 @@ from __future__ import annotations
 import os
 import sys
 import time
-from itertools import groupby, product, zip_longest
-from operator import attrgetter, itemgetter
+from itertools import product, zip_longest
+from operator import attrgetter
 from typing import IO, Iterable
 
 import click
 
 from .arithmetic import (
     ClassificationVerdict,
-    OracleDisagreement,
     classify as classify_pair,
-    counterexample_cells,
+    counterexample_runs,
     counterexample_maxima,
     criteria_runs,
     criterion_classes,
@@ -44,7 +45,7 @@ from .cohomology import (
     sw_swap_failures,
     total_sw_class,
 )
-from .oracle import cell_classes
+from .oracle import cell_classes, rings_isomorphic_bruteforce
 
 SCHEMA = (
     "a",
@@ -170,15 +171,6 @@ def emit_records(verdicts: list[ClassificationVerdict], fmt: str, out: IO[str]) 
     _stream([[_record(v, fmt, columns) for v in verdicts]], fmt, out, columns, names)
 
 
-def _validated_verdict(a, b, q, q_prime, with_oracle=False) -> ClassificationVerdict:
-    # only classify's input checks raise ValueError; an inconsistent verdict
-    # raises RuntimeError, an internal error
-    try:
-        return classify_pair(a, b, q, q_prime, with_oracle=with_oracle)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-
 format_option = click.option(
     "--format", "fmt", type=click.Choice(FORMATS), default="text",
     show_default=True, help="Output format.",
@@ -240,11 +232,21 @@ def main() -> None:
 @out_option
 def classify(a, b, q, q_prime, oracle, fmt, out) -> None:
     """Classify a single pair (q, q') for fixed (a, b)."""
+    # only classify's input checks raise ValueError; an inconsistent verdict
+    # raises RuntimeError, an internal error
     try:
-        verdict = _validated_verdict(a, b, q, q_prime, with_oracle=oracle)
-    except OracleDisagreement as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(1)
+        verdict = classify_pair(a, b, q, q_prime)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    if oracle:
+        src, dst = RingPresentation(a, b, q), RingPresentation(a, b, q_prime)
+        witness = rings_isomorphic_bruteforce(src, dst)
+        if (witness is not None) != verdict.cohomology_isomorphic:
+            click.echo(f"ring oracle disagrees with the congruence criterion on (a={a}, b={b}, "
+                       f"q={q}, q'={q_prime}): oracle says {witness is not None}, criterion says "
+                       f"{verdict.cohomology_isomorphic}", err=True)
+            sys.exit(1)
+        verdict.oracle_witness = witness
     emit_records([verdict], fmt, out)
 
 
@@ -295,15 +297,11 @@ def counterexamples(a_max, b_max, fmt, out) -> None:
     def rendered():
         cells = []
         for a in a_range:
-            h, k, row = counterexample_cells(a, b_max)
-            if not row:
+            h, k, runs = counterexample_runs(a, b_max)
+            if not runs:
                 continue
-            # every row ends at b_max; counterexample_cells has checked every cell
+            # every row ends at b_max; counterexample_runs has checked every cell
             cells = cells or [_slot(fmt, columns, 1) % b for b in range(b_max + 1)]
-            runs = []  # of consecutive b with one construction (q, q')
-            for pair, run in groupby(row, itemgetter(1, 2)):
-                bs = [b for b, _, _ in run]
-                runs.append((pair, bs[0], bs[-1] + 1))
             yield _render_runs(runs, fmt, columns, 1, cells, lambda pair, b:
                                ClassificationVerdict(a, b, *pair, h, k, True, False, False))
 

@@ -130,10 +130,22 @@ MUTANTS = (
            "            return subst\n    return None",
            "            return IDENTITY_SUBSTITUTION\n    return None",
            "the search returns the identity in place of its witness"),
-    Mutant("arithmetic.py",
+    Mutant("cli.py",
            "if (witness is not None) != verdict.cohomology_isomorphic:",
            "if (witness is None) != verdict.cohomology_isomorphic:",
-           "classify tests a missing witness against the criterion"),
+           "classify --oracle tests a missing witness against the criterion"),
+    Mutant("arithmetic.py",
+           "if runs and runs[-1][0] == pair:",
+           "if False:",
+           "counterexample runs never merge: one run per b"),
+    Mutant("cli.py",
+           "if (witness is not None) != verdict.cohomology_isomorphic:",
+           "if False:",
+           "classify --oracle never compares the search with the criterion"),
+    Mutant("cli.py",
+           "verdict.oracle_witness = witness",
+           "verdict.oracle_witness = None",
+           "classify --oracle does not attach the witness it found"),
 )
 
 # tests/test_mutants.py is left out: in the copy it reads the mutated source,

@@ -11,7 +11,7 @@ domination), relation_polys and basis (the ideal's generators and the
 monomial basis of a presentation), SWAP_SUBSTITUTION and substitutions()
 (the oracle's 16 maps, in its search order), substitution and images
 (between the library's form masks and (cx, cy) pairs), classify_row and
-counterexample_row (the library's criteria_runs and counterexample_cells
+counterexample_row (the library's criteria_runs and counterexample_runs
 expanded into verdicts), and dumps_record (one jsonl record).
 radon_hurwitz is the Radon-Hurwitz number, against which k(a) is checked.
 rejects_identity_between_rings is a fault, patched into the oracle to show
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import io
 
-from realbott.arithmetic import ClassificationVerdict, counterexample_cells, criteria_runs
+from realbott.arithmetic import ClassificationVerdict, counterexample_runs, criteria_runs
 from realbott.cli import emit_records
 from realbott.gf2poly import IDENTITY_SUBSTITUTION, LinearSubstitution, PolyGF2
 
@@ -316,10 +316,11 @@ def classify_row(a: int, b: int, q: int) -> list:
 
 def counterexample_row(a: int, b_max: int) -> list:
     """classify(a, b, *counterexample_pair(a, b)) for every b <= b_max where
-    rigidity fails, in b order: the cells of counterexample_cells, each
-    checked by its own ClassificationVerdict."""
-    h, k, cells = counterexample_cells(a, b_max)
-    return [ClassificationVerdict(a, *cell, h, k, True, False, False) for cell in cells]
+    rigidity fails, in b order: the runs of counterexample_runs expanded, each
+    cell checked by its own ClassificationVerdict."""
+    h, k, runs = counterexample_runs(a, b_max)
+    return [ClassificationVerdict(a, b, *pair, h, k, True, False, False)
+            for pair, start, stop in runs for b in range(start, stop)]
 
 
 def dumps_record(verdict) -> str:

@@ -7,11 +7,11 @@ a failure of any test here means the build does not meet its contract.
 import time
 
 from realbott.arithmetic import (
+    classify,
     cohomology_criterion,
     counterexample_pair,
     diffeo_criterion,
     h_of,
-    homotopy_criterion,
     k_of,
     rigidity_holds,
 )
@@ -65,7 +65,7 @@ def test_criterion_2_headline_counterexample():
     assert witness is not None
     assert is_graded_isomorphism(witness, src, dst)
     assert not diffeo_criterion(a, b, q, q_prime)
-    assert not homotopy_criterion(a, b, q, q_prime)
+    assert not classify(a, b, q, q_prime).homotopy_equivalent
     elapsed = time.perf_counter() - start
     print(
         f"ACCEPTANCE C2 headline pair a=10 b=17 (q,q')=(0,16) "

@@ -7,19 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from realbott import arithmetic, oracle
+from realbott import arithmetic
 from realbott.arithmetic import (
     ClassificationVerdict,
-    OracleDisagreement,
     classify,
     cohomology_criterion,
     criteria_runs,
-    counterexample_cells,
     counterexample_maxima,
     counterexample_pair,
+    counterexample_runs,
     diffeo_criterion,
     h_of,
-    homotopy_criterion,
     k_of,
     rigidity_holds,
 )
@@ -136,17 +134,14 @@ class TestDiffeoCriterion:
 
 
 class TestHomotopyCriterion:
-    def test_is_the_same_function(self):
-        assert homotopy_criterion is diffeo_criterion
-
     def test_agrees_on_grid(self):
         for a in range(1, 13):
             for b in range(1, 21):
                 for q in range(b + 1):
                     for q_prime in range(b + 1):
-                        assert homotopy_criterion(
+                        assert classify(
                             a, b, q, q_prime
-                        ) == diffeo_criterion(a, b, q, q_prime)
+                        ).homotopy_equivalent == diffeo_criterion(a, b, q, q_prime)
 
 
 class TestCriterionProperties:
@@ -303,7 +298,12 @@ class TestCounterexampleMaxima:
         m = 2 ** h_of(a)
         b_maxima = {*range(1, 40), m - 1, m, m + 1, 2 * m - 1, 2 * m, 2 * m + 1, 3 * m, 3 * m + 1}
         for b_max in b_maxima - {0}:
-            h, k, cells = counterexample_cells(a, b_max)
+            h, k, runs = counterexample_runs(a, b_max)
+            # contiguous, in order, non-empty and maximal
+            assert all(start < stop for _, start, stop in runs), runs
+            assert all(left[2] == right[1] and left[0] != right[0]
+                       for left, right in zip(runs, runs[1:])), runs
+            cells = [(b, *pair) for pair, start, stop in runs for b in range(start, stop)]
             expected = (a, *map(max, zip(*cells)), h, k) if cells else None
             assert counterexample_maxima(a, b_max) == expected, b_max
 
@@ -359,22 +359,6 @@ class TestClassify:
     def test_complement_pair_all_true(self):
         v = classify(2, 2, 0, 2)
         assert v.cohomology_isomorphic and v.diffeomorphic and v.homotopy_equivalent
-
-    def test_oracle_attaches_witness(self):
-        v = classify(2, 2, 1, 1, with_oracle=True)
-        assert v.cohomology_isomorphic
-        assert v.oracle_witness is not None
-
-    def test_oracle_on_non_isomorphic_pair(self):
-        v = classify(2, 2, 0, 1, with_oracle=True)
-        assert not v.cohomology_isomorphic
-        assert v.oracle_witness is None
-
-    def test_oracle_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle, "rings_isomorphic_bruteforce",
-                            lambda src, dst: None)
-        with pytest.raises(OracleDisagreement):
-            classify(2, 2, 0, 2, with_oracle=True)
 
     def test_verdict_consistency_enforced(self):
         # an inconsistent verdict is an internal fault, not an input error

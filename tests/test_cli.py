@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from realbott import arithmetic, cli, oracle
 from realbott.arithmetic import (
     ClassificationVerdict,
-    OracleDisagreement,
     classify,
     counterexample_pair,
 )
@@ -90,6 +89,17 @@ class TestClassify:
         assert record["cohomology_isomorphic"] is False
         assert "witness" not in record
 
+    def test_oracle_attaches_witness(self, runner):
+        result = runner.invoke(
+            main,
+            ["classify", "--a", "2", "--b", "2", "--q", "1",
+             "--q-prime", "1", "--oracle", "--format", "jsonl"],
+        )
+        assert result.exit_code == 0
+        (record,) = records_of(result.output)
+        assert record["cohomology_isomorphic"] is True
+        assert record["witness"] == str(IDENTITY_SUBSTITUTION)
+
     def test_oracle_isomorphic_includes_witness(self, runner):
         result = runner.invoke(
             main,
@@ -140,16 +150,35 @@ class TestClassify:
         assert dumps_record(ClassificationVerdict(**json.loads(line))) == line
 
     def test_oracle_disagreement_exits_one(self, runner, monkeypatch):
-        def broken(*args, **kwargs):
-            raise OracleDisagreement("ring oracle disagrees")
+        # (0, 2) is isomorphic at (2, 2): a search that finds nothing disagrees
+        monkeypatch.setattr(cli, "rings_isomorphic_bruteforce", lambda src, dst: None)
+        result = runner.invoke(
+            main,
+            ["classify", "--a", "2", "--b", "2", "--q", "0",
+             "--q-prime", "2", "--oracle"],
+        )
+        assert result.exit_code == 1
+        assert result.stderr == (
+            "ring oracle disagrees with the congruence criterion on "
+            "(a=2, b=2, q=0, q'=2): oracle says False, criterion says True\n"
+        )
+        assert result.stdout == ""
 
-        monkeypatch.setattr(cli, "classify_pair", broken)
+    def test_oracle_witness_for_non_isomorphic_pair_exits_one(self, runner, monkeypatch):
+        # (0, 1) is not isomorphic at (2, 2): a search that returns a witness disagrees
+        monkeypatch.setattr(cli, "rings_isomorphic_bruteforce",
+                            lambda src, dst: IDENTITY_SUBSTITUTION)
         result = runner.invoke(
             main,
             ["classify", "--a", "2", "--b", "2", "--q", "0",
              "--q-prime", "1", "--oracle"],
         )
         assert result.exit_code == 1
+        assert result.stderr == (
+            "ring oracle disagrees with the congruence criterion on "
+            "(a=2, b=2, q=0, q'=1): oracle says True, criterion says False\n"
+        )
+        assert result.stdout == ""
 
     @pytest.mark.parametrize("error", [RecursionError, RuntimeError, KeyError])
     def test_internal_error_is_not_a_disagreement(self, runner, monkeypatch, error):

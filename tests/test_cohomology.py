@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from realbott.cohomology import (
     total_sw_class,
 )
 from realbott.gf2poly import COMPLEMENT_SUBSTITUTION, PolyGF2, substitute_linear
+from realbott.oracle import rings_isomorphic_bruteforce
 
 from _oracles import (
     basis,
@@ -371,6 +374,24 @@ class TestTotalSWClass:
                         swapped,
                     )
                     assert carried == total_sw_class(swapped), (a, b, q)
+
+    def test_every_oracle_witness_carries_w_to_w(self):
+        # a graded isomorphism commutes with Sq and fixes the top class, so by
+        # Wu's formula it carries w(M(q)) to w(M(q')); the bundle formula for w
+        # plays no part in that argument
+        pairs = 0
+        for a in range(1, 11):
+            for b in range(1, 18):
+                rings = [RingPresentation(a, b, q) for q in range(b + 1)]
+                classes = [total_sw_class(ring) for ring in rings]
+                for src, dst in product(rings, repeat=2):
+                    witness = rings_isomorphic_bruteforce(src, dst)
+                    if witness is None:
+                        continue
+                    pairs += 1
+                    carried = normal_form(substitute_linear(classes[src.q].lift(), witness), dst)
+                    assert carried == classes[dst.q], (a, b, src.q, dst.q, str(witness))
+        assert pairs == 8456
 
     def test_swap_failures_sweep_is_empty(self):
         assert sw_swap_failures(8, 8) == []
