@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from realbott import arithmetic
+from realbott import RingPresentation, arithmetic, cli, rings_isomorphic_bruteforce
 from realbott.arithmetic import (
     ClassificationVerdict,
     classify,
@@ -359,6 +359,24 @@ class TestClassify:
     def test_complement_pair_all_true(self):
         v = classify(2, 2, 0, 2)
         assert v.cohomology_isomorphic and v.diffeomorphic and v.homotopy_equivalent
+
+    def test_oracle_on_non_isomorphic_pair(self):
+        # the library route: the criterion's verdict carries no witness, and
+        # the search on the two rings finds none
+        v = classify(2, 2, 0, 1)
+        assert not v.cohomology_isomorphic
+        assert v.oracle_witness is None
+        assert rings_isomorphic_bruteforce(RingPresentation(2, 2, 0),
+                                           RingPresentation(2, 2, 1)) is None
+
+    def test_oracle_disagreement_raises(self, monkeypatch):
+        # (0, 2) is isomorphic at (2, 2): a search that finds nothing makes
+        # classify --oracle raise SystemExit(1) out of the command itself
+        monkeypatch.setattr(cli, "rings_isomorphic_bruteforce", lambda src, dst: None)
+        with pytest.raises(SystemExit) as exc:
+            cli.main.main(["classify", "--a", "2", "--b", "2", "--q", "0",
+                           "--q-prime", "2", "--oracle"], standalone_mode=False)
+        assert exc.value.code == 1
 
     def test_verdict_consistency_enforced(self):
         # an inconsistent verdict is an internal fault, not an input error
