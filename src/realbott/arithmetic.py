@@ -26,7 +26,6 @@ __all__ = [
     "rigidity_holds",
     "counterexample_pair",
     "counterexample_runs",
-    "counterexample_maxima",
     "ClassificationVerdict",
     "classify",
     "criteria_runs",
@@ -167,7 +166,6 @@ class ClassificationVerdict:
     k: int
     cohomology_isomorphic: bool
     diffeomorphic: bool
-    homotopy_equivalent: bool
     oracle_witness: Optional[LinearSubstitution] = None
 
     def __post_init__(self):
@@ -177,14 +175,16 @@ class ClassificationVerdict:
                 "diffeomorphic pairs always have isomorphic cohomology "
                 "(h(a) <= k(a)); refusing an inconsistent verdict"
             )
-        if self.homotopy_equivalent != self.diffeomorphic:
-            raise RuntimeError("homotopy equivalence must coincide with diffeomorphism")
+
+    @property
+    def homotopy_equivalent(self) -> bool:
+        """The diffeomorphism verdict: for this family, the two manifolds are
+        homotopy equivalent iff they are diffeomorphic."""
+        return self.diffeomorphic
 
 
 def classify(a: int, b: int, q: int, q_prime: int) -> ClassificationVerdict:
-    """Apply all three criteria to one pair."""
-    _check_pair_ranges(a, b, q, q_prime)
-    diffeo = diffeo_criterion(a, b, q, q_prime)
+    """Apply all three criteria to one pair; each criterion checks the ranges."""
     return ClassificationVerdict(
         a=a,
         b=b,
@@ -193,8 +193,7 @@ def classify(a: int, b: int, q: int, q_prime: int) -> ClassificationVerdict:
         h=h_of(a),
         k=k_of(a),
         cohomology_isomorphic=cohomology_criterion(a, b, q, q_prime),
-        diffeomorphic=diffeo,
-        homotopy_equivalent=diffeo,
+        diffeomorphic=diffeo_criterion(a, b, q, q_prime),
     )
 
 
@@ -242,17 +241,3 @@ def counterexample_runs(a: int, b_max: int) -> tuple[int, int, list[tuple]]:
             runs.append((pair, b, b + 1))
     return h, k, runs
 
-
-def counterexample_maxima(a: int, b_max: int) -> Optional[tuple[int, ...]]:
-    """The largest (a, b, q, q', h, k) over the cells of counterexample_runs(a,
-    b_max), in O(1); None when there are none.  Those cells run over b in
-    (2^h(a), b_max], and _construction(b, m) is (1, m + 1) at a multiple of m,
-    (0, m) elsewhere: so the maxima are those of its pairs at b_max and at the
-    last multiple of m up to b_max, of those that are cells."""
-    h = h_of(a)  # checks a
-    _check_b(b_max, "b_max")
-    m = 1 << h
-    if b_max <= _last_rigid_b(a, m):
-        return None
-    pairs = [_construction(b, m) for b in (b_max, b_max - b_max % m) if b > m]
-    return (a, b_max, *map(max, zip(*pairs)), h, k_of(a))

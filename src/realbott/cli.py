@@ -5,7 +5,7 @@ the default human-readable table.  Classification records always carry the
 same nine scalar fields, in a fixed order; the CSV header is bit-exact so
 downstream ingestion can rely on it.  No command holds more than one row:
 table and counterexamples stream every format a row at a time (text widths
-come from closed-form maxima), and verify holds one cell's two partitions,
+are known before the first row), and verify holds one cell's two partitions,
 the oracle's and the criterion's, as b + 1 class names each.  A row is a
 few runs of records that share a template, each written with one str.join
 over preformatted cells; every template comes from one real, checked
@@ -33,7 +33,6 @@ from .arithmetic import (
     ClassificationVerdict,
     classify as classify_pair,
     counterexample_runs,
-    counterexample_maxima,
     criteria_runs,
     criterion_classes,
     h_of,
@@ -272,7 +271,7 @@ def table(a, b, fmt, out) -> None:
         for q in range(b + 1):
             h, k, runs = criteria_runs(a, b, q)
             yield _render_runs(runs, fmt, columns, 3, cells, lambda truth, q_prime:
-                               ClassificationVerdict(a, b, q, q_prime, h, k, *truth, truth[1]))
+                               ClassificationVerdict(a, b, q, q_prime, h, k, *truth))
 
     _stream(rows(), fmt, out, columns)
 
@@ -288,10 +287,17 @@ def counterexamples(a_max, b_max, fmt, out) -> None:
     _check_bounds(a_max, b_max)
     # a row has cells only if 2^h(a) < b_max, and a <= 2^h(a): no a >= b_max has any
     a_range, columns = range(1, min(a_max, b_max - 1) + 1), ()
-    if fmt == "text":  # each row's maxima come in closed form: no cell is held
-        maxima = [0] * 6
-        for a in a_range:
-            maxima = list(map(max, maxima, counterexample_maxima(a, b_max) or maxima))
+    if fmt == "text":
+        # a, 2^h(a), h and k never fall as a grows, and every row ends at
+        # b_max: so the last row with cells holds the widest cell of every
+        # column but q, which is 0 or 1 and never wider than its name.  A row
+        # without cells has an empty b range, so this scan costs O(b_max).
+        maxima = ()
+        for a in reversed(a_range):
+            h, k, runs = counterexample_runs(a, b_max)
+            if runs:
+                maxima = (a, b_max, *map(max, zip(*(pair for pair, _, _ in runs))), h, k)
+                break
         columns = _text_columns(maxima)
 
     def rendered():
@@ -303,7 +309,7 @@ def counterexamples(a_max, b_max, fmt, out) -> None:
             # every row ends at b_max; counterexample_runs has checked every cell
             cells = cells or [_slot(fmt, columns, 1) % b for b in range(b_max + 1)]
             yield _render_runs(runs, fmt, columns, 1, cells, lambda pair, b:
-                               ClassificationVerdict(a, b, *pair, h, k, True, False, False))
+                               ClassificationVerdict(a, b, *pair, h, k, True, False))
 
     _stream(rendered(), fmt, out, columns)
 

@@ -22,7 +22,6 @@ linear-algebra reduction of the ideal is verified in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import zip_longest
 
 from .gf2poly import (
     COMPLEMENT_SUBSTITUTION,
@@ -104,22 +103,6 @@ class RingElement:
 
     def __bool__(self) -> bool:
         return bool(self.masks)
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check_compatible(other)
-        # pres.reduce is linear, so the sum of reduced pieces is reduced
-        pieces = zip_longest(self.masks, other.masks, fillvalue=0)
-        return RingElement(self.pres, PolyGF2.from_masks(u ^ v for u, v in pieces).masks)
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        self._check_compatible(other)
-        return normal_form(self.lift() * other.lift(), self.pres)
-
-    def _check_compatible(self, other: "RingElement") -> None:
-        if self.pres != other.pres:
-            raise ValueError(
-                f"incompatible rings: {self.pres} and {other.pres}"
-            )
 
     def lift(self) -> PolyGF2:
         """The basis representative as an honest polynomial."""

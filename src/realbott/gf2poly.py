@@ -99,8 +99,6 @@ class PolyGF2:
             u ^ v for u, v in zip_longest(self.masks, other.masks, fillvalue=0)
         )
 
-    __sub__ = __add__
-
     def __mul__(self, other: "PolyGF2") -> "PolyGF2":
         acc = [0] * (len(self.masks) + len(other.masks) - 1)
         for d1, u in enumerate(self.masks):
@@ -121,10 +119,6 @@ class PolyGF2:
             base = base * base
             n >>= 1
         return result
-
-    def degree(self) -> int:
-        """Total degree (-1 for the zero polynomial)."""
-        return len(self.masks) - 1
 
     def __str__(self) -> str:
         """Human-readable sum of monomials, graded order, '0' when zero."""

@@ -146,6 +146,14 @@ MUTANTS = (
            "verdict.oracle_witness = witness",
            "verdict.oracle_witness = None",
            "classify --oracle does not attach the witness it found"),
+    Mutant("cli.py",
+           "for a in reversed(a_range):",
+           "for a in a_range:",
+           "counterexamples text widths are read off the first row with cells, not the last"),
+    Mutant("arithmetic.py",
+           "return self.diffeomorphic",
+           "return self.cohomology_isomorphic",
+           "homotopy equivalence is reported as the cohomology verdict"),
 )
 
 # tests/test_mutants.py is left out: in the copy it reads the mutated source,

@@ -310,7 +310,7 @@ def classify_row(a: int, b: int, q: int) -> list:
     """classify(a, b, q, q') for every q <= q' <= b, in that order: the runs of
     criteria_runs expanded, each pair checked by its own ClassificationVerdict."""
     h, k, runs = criteria_runs(a, b, q)
-    return [ClassificationVerdict(a, b, q, q_prime, h, k, cohomology, diffeo, diffeo)
+    return [ClassificationVerdict(a, b, q, q_prime, h, k, cohomology, diffeo)
             for (cohomology, diffeo), start, stop in runs for q_prime in range(start, stop)]
 
 
@@ -319,7 +319,7 @@ def counterexample_row(a: int, b_max: int) -> list:
     rigidity fails, in b order: the runs of counterexample_runs expanded, each
     cell checked by its own ClassificationVerdict."""
     h, k, runs = counterexample_runs(a, b_max)
-    return [ClassificationVerdict(a, b, *pair, h, k, True, False, False)
+    return [ClassificationVerdict(a, b, *pair, h, k, True, False)
             for pair, start, stop in runs for b in range(start, stop)]
 
 

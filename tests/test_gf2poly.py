@@ -202,12 +202,6 @@ def test_negative_exponents_rejected():
         PolyGF2([(-1, 0)])
 
 
-def test_degree():
-    assert ZERO.degree() == -1
-    assert ONE.degree() == 0
-    assert poly((2, 3), (1, 1)).degree() == 5
-
-
 def test_str_rendering():
     assert str(ZERO) == "0"
     assert str(ONE) == "1"
