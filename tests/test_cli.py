@@ -37,11 +37,21 @@ EXPECTED_HEADER = (
     "a,b,q,q_prime,h,k,cohomology_isomorphic,diffeomorphic,homotopy_equivalent"
 )
 REFERENCE_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+SURFACE = json.loads((Path(__file__).resolve().parent / "cli_surface.json").read_text())
+
+
+class _Runner(CliRunner):
+    """CliRunner that wraps help at 78 columns, as click does when stdout
+    is not a terminal."""
+
+    def invoke(self, cli, args=None, **extra):
+        extra.setdefault("terminal_width", 78)
+        return super().invoke(cli, args, **extra)
 
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return _Runner()
 
 
 def masked_elapsed(output: str) -> str:
@@ -643,6 +653,19 @@ class TestReferenceDigests:
         )
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == digests[command]
+
+
+class TestSurface:
+    """tests/cli_surface.json holds the exit code, stdout and stderr of
+    `python -m realbott.cli ARGV` for every help screen, one argv of each
+    usage error class and a few accepted spellings; main must reproduce
+    each byte."""
+
+    @pytest.mark.parametrize("case", SURFACE, ids=lambda case: "_".join(case["argv"]) or "no-arguments")
+    def test_replays_recorded_output(self, runner, case):
+        result = runner.invoke(main, case["argv"], prog_name="python -m realbott.cli")
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            case["exit_code"], case["stdout"], case["stderr"])
 
 
 class TestVerify:
