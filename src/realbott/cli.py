@@ -12,6 +12,12 @@ over preformatted cells; every template comes from one real, checked
 ClassificationVerdict.
 classify --oracle and verify compare the ring oracle with the congruence
 criterion here; the library only computes each side.
+The command line needs nothing beyond the standard library.  COMMANDS lists
+each command's function and its long options, and one loop (_parse) reads
+argv against it: "--name VALUE", "--name=VALUE", flags, repeats (the last
+wins), "--" and an eager --help.  Help screens and usage errors keep the
+layout of click, which this parser replaced: 78 columns wide on every
+terminal, and every usage error (exit 2) under its command's usage line.
 Exit codes: 0 success, 1 the ring oracle and the congruence criterion
 disagree, 2 usage error, 3 internal error (with its traceback on stderr),
 130 interrupted (128 + SIGINT), 141 stdout closed by its reader (128 +
@@ -25,9 +31,7 @@ import sys
 import time
 from itertools import product, zip_longest
 from operator import attrgetter
-from typing import IO, Iterable
-
-import click
+from typing import IO, Iterable, NamedTuple
 
 from .arithmetic import (
     ClassificationVerdict,
@@ -63,6 +67,17 @@ FORMATS = ("text", "csv", "json", "jsonl")
 INTERNAL_ERROR_EXIT = 3
 INTERRUPT_EXIT = 130
 CLOSED_PIPE_EXIT = 141
+USAGE_EXIT = 2
+
+
+class UsageError(Exception):
+    """Input the commands refuse: main writes the usage of the command at
+    fault (of the whole program, if program is true), then the message,
+    and exits USAGE_EXIT."""
+
+    def __init__(self, message: str, program: bool = False):
+        super().__init__(message)
+        self.program = program
 
 
 _TRUTH = ("false", "true")  # indexed by a bool: how json and csv spell it
@@ -170,65 +185,6 @@ def emit_records(verdicts: list[ClassificationVerdict], fmt: str, out: IO[str]) 
     _stream([[_record(v, fmt, columns) for v in verdicts]], fmt, out, columns, names)
 
 
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(FORMATS), default="text",
-    show_default=True, help="Output format.",
-)
-out_option = click.option(
-    "--out", type=click.File("w"), default="-",
-    help="Write output to FILE instead of stdout.",
-)
-
-
-class _Group(click.Group):
-    """Exits INTERNAL_ERROR_EXIT on an unexpected exception: 1 means a mismatch.
-    An --out that cannot be opened is a usage error: click opens it at the
-    first write, so no file is made when another usage error comes first.
-    A closed stdout and an interrupt each have their own exit code, which
-    click would report as 1."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except click.FileError as exc:
-            raise click.BadParameter(exc.format_message(), ctx, param_hint="'--out'") from exc
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
-            raise
-        except BrokenPipeError:
-            # the reader has gone, as after `| head`: end quietly, and let
-            # Python's flush of stdout at exit go to /dev/null
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            ctx.exit(CLOSED_PIPE_EXIT)
-        except KeyboardInterrupt:
-            click.echo("realbott: interrupted", err=True)
-            ctx.exit(INTERRUPT_EXIT)
-        except Exception:
-            import traceback  # here, not at the top: start-up need not pay for it
-
-            traceback.print_exc()
-            click.echo("realbott: internal error", err=True)
-            ctx.exit(INTERNAL_ERROR_EXIT)
-
-
-@click.group(cls=_Group)
-def main() -> None:
-    """Classify projectivized sums of line bundles over real projective space.
-
-    Members are indexed by (a, b, q): the base is RP^(a-1), the bundle has
-    rank b with q tautological summands.  Classification of a pair (q, q')
-    reports whether the mod-2 cohomology rings are isomorphic, and whether
-    the manifolds are diffeomorphic / homotopy equivalent.
-    """
-
-
-@main.command()
-@click.option("--a", "a", required=True, type=int, help="Base dimension parameter (>= 1).")
-@click.option("--b", "b", required=True, type=int, help="Bundle rank (>= 1).")
-@click.option("--q", "q", required=True, type=int, help="Tautological summands, first member.")
-@click.option("--q-prime", required=True, type=int, help="Tautological summands, second member.")
-@click.option("--oracle", is_flag=True, help="Also run the brute-force ring isomorphism search.")
-@format_option
-@out_option
 def classify(a, b, q, q_prime, oracle, fmt, out) -> None:
     """Classify a single pair (q, q') for fixed (a, b)."""
     # only classify's input checks raise ValueError; an inconsistent verdict
@@ -236,14 +192,14 @@ def classify(a, b, q, q_prime, oracle, fmt, out) -> None:
     try:
         verdict = classify_pair(a, b, q, q_prime)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     if oracle:
         src, dst = RingPresentation(a, b, q), RingPresentation(a, b, q_prime)
         witness = rings_isomorphic_bruteforce(src, dst)
         if (witness is not None) != verdict.cohomology_isomorphic:
-            click.echo(f"ring oracle disagrees with the congruence criterion on (a={a}, b={b}, "
-                       f"q={q}, q'={q_prime}): oracle says {witness is not None}, criterion says "
-                       f"{verdict.cohomology_isomorphic}", err=True)
+            print(f"ring oracle disagrees with the congruence criterion on (a={a}, b={b}, "
+                  f"q={q}, q'={q_prime}): oracle says {witness is not None}, criterion says "
+                  f"{verdict.cohomology_isomorphic}", file=sys.stderr)
             sys.exit(1)
         verdict.oracle_witness = witness
     emit_records([verdict], fmt, out)
@@ -251,14 +207,9 @@ def classify(a, b, q, q_prime, oracle, fmt, out) -> None:
 
 def _check_bounds(a: int, b: int) -> None:
     if a < 1 or b < 1:
-        raise click.UsageError(f"bounds must be >= 1, got a={a}, b={b}")
+        raise UsageError(f"bounds must be >= 1, got a={a}, b={b}")
 
 
-@main.command()
-@click.option("--a", "a", required=True, type=int)
-@click.option("--b", "b", required=True, type=int)
-@format_option
-@out_option
 def table(a, b, fmt, out) -> None:
     """Classify every pair 0 <= q <= q' <= b for fixed (a, b)."""
     _check_bounds(a, b)
@@ -276,11 +227,6 @@ def table(a, b, fmt, out) -> None:
     _stream(rows(), fmt, out, columns)
 
 
-@main.command()
-@click.option("--a-max", required=True, type=int)
-@click.option("--b-max", required=True, type=int)
-@format_option
-@out_option
 def counterexamples(a_max, b_max, fmt, out) -> None:
     """List, for each (a, b) in range where rigidity fails, a constructed
     pair with isomorphic cohomology but non-diffeomorphic manifolds."""
@@ -322,18 +268,11 @@ def _parse_only(text: str) -> tuple[int, int]:
         values = dict(fields)
         a, b = int(values["a"]), int(values["b"])
     except ValueError as exc:
-        raise click.UsageError(f"--only expects 'a=<int>,b=<int>', got {text!r}") from exc
+        raise UsageError(f"--only expects 'a=<int>,b=<int>', got {text!r}") from exc
     _check_bounds(a, b)
     return a, b
 
 
-@main.command()
-@click.option("--a-max", default=6, show_default=True, type=int)
-@click.option("--b-max", default=7, show_default=True, type=int)
-@click.option("--only", default=None, help="Restrict to one cell, e.g. 'a=10,b=17'.")
-@click.option("--extended", is_flag=True,
-              help="Also sweep the nonvanishing checks and the Stiefel-Whitney swap symmetry.")
-@out_option
 def verify(a_max, b_max, only, extended, out) -> None:
     """Machine-check the congruence criterion against the ring oracle on an
     exhaustive (a, b, q, q') grid.  Exits 1 on any mismatch."""
@@ -358,7 +297,7 @@ def verify(a_max, b_max, only, extended, out) -> None:
         mismatches += cell_mismatches
         out.write(f"a={a} b={b}: {(b + 1) ** 2} pairs, {cell_mismatches} mismatches\n")
     if not cases:
-        raise click.UsageError("no (a, b, q, q') pair to check")
+        raise UsageError("no (a, b, q, q') pair to check")
     if extended:
         out.write(_extended_sweeps())
     elapsed = time.perf_counter() - start
@@ -377,19 +316,12 @@ def _extended_sweeps() -> str:
     )
 
 
-@main.command()
-@click.option("--a", "a", required=True, type=int)
-@click.option("--b", "b", required=True, type=int)
-@click.option("--q", "q", required=True, type=int)
-@click.option("--format", "fmt", type=click.Choice(("text", "json")), default="text",
-              show_default=True)
-@out_option
 def sw(a, b, q, fmt, out) -> None:
     """Print the total Stiefel-Whitney class of the member (a, b, q)."""
     try:
         pres = RingPresentation(a, b, q)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     cls = str(total_sw_class(pres))
     if fmt == "json":
         import json  # here, not at the top: only witnesses and sw need it
@@ -397,6 +329,311 @@ def sw(a, b, q, fmt, out) -> None:
         out.write(json.dumps({"a": a, "b": b, "q": q, "sw_class": cls}) + "\n")
     else:
         out.write(f"w(a={a}, b={b}, q={q}) = {cls}\n")
+
+
+class Option(NamedTuple):
+    """One long option of a command, as the parser and the help read it.
+    kind is "int" (converted by int()), "text", "flag" (no value; True when
+    given), "file" (an --out path, "-" for stdout) or the tuple of a
+    choice's values.  A default shows in the help unless it is None, a
+    flag's or a file's."""
+
+    name: str
+    dest: str
+    kind: object
+    default: object = None
+    required: bool = False
+    help: str = ""
+
+    def value(self, raw: str | None):
+        """The keyword value of the option given as raw, or not given (None)."""
+        if raw is None:
+            if self.required:
+                raise UsageError(f"Missing option '{self.name}'.")
+            return self.default
+        if self.kind == "int":
+            try:
+                return int(raw)
+            except ValueError:
+                raise UsageError(f"Invalid value for '{self.name}': {raw!r} is not a valid "
+                                 f"integer.") from None
+        if isinstance(self.kind, tuple) and raw not in self.kind:
+            raise UsageError(f"Invalid value for '{self.name}': {raw!r} is not one of "
+                             f"{', '.join(map(repr, self.kind))}.")
+        return raw
+
+    def help_row(self) -> tuple[str, str]:
+        """The option's name and metavar, and its help text, as its command's help lists them."""
+        if isinstance(self.kind, tuple):
+            term = f"{self.name} [{'|'.join(self.kind)}]"
+        else:
+            term = self.name + {"int": " INTEGER", "text": " TEXT", "file": " FILENAME"}.get(self.kind, "")
+        extras = []
+        if self.default is not None and self.kind not in ("flag", "file"):
+            extras.append(f"default: {self.default}")
+        if self.required:
+            extras.append("required")
+        return term, f"{self.help}  [{'; '.join(extras)}]".lstrip() if extras else self.help
+
+
+HELP = Option("--help", "help", "flag", help="Show this message and exit.")
+FORMAT = Option("--format", "fmt", FORMATS, "text", help="Output format.")
+OUT = Option("--out", "out", "file", "-", help="Write output to FILE instead of stdout.")
+
+# Each command's function and its options, in the order its help lists them.
+COMMANDS = {
+    "classify": (classify, (
+        Option("--a", "a", "int", required=True, help="Base dimension parameter (>= 1)."),
+        Option("--b", "b", "int", required=True, help="Bundle rank (>= 1)."),
+        Option("--q", "q", "int", required=True, help="Tautological summands, first member."),
+        Option("--q-prime", "q_prime", "int", required=True,
+               help="Tautological summands, second member."),
+        Option("--oracle", "oracle", "flag", False,
+               help="Also run the brute-force ring isomorphism search."),
+        FORMAT, OUT)),
+    "table": (table, (
+        Option("--a", "a", "int", required=True),
+        Option("--b", "b", "int", required=True),
+        FORMAT, OUT)),
+    "counterexamples": (counterexamples, (
+        Option("--a-max", "a_max", "int", required=True),
+        Option("--b-max", "b_max", "int", required=True),
+        FORMAT, OUT)),
+    "verify": (verify, (
+        Option("--a-max", "a_max", "int", 6),
+        Option("--b-max", "b_max", "int", 7),
+        Option("--only", "only", "text", help="Restrict to one cell, e.g. 'a=10,b=17'."),
+        Option("--extended", "extended", "flag", False,
+               help="Also sweep the nonvanishing checks and the Stiefel-Whitney swap symmetry."),
+        OUT)),
+    "sw": (sw, (
+        Option("--a", "a", "int", required=True),
+        Option("--b", "b", "int", required=True),
+        Option("--q", "q", "int", required=True),
+        Option("--format", "fmt", ("text", "json"), "text"),
+        OUT)),
+}
+
+PROGRAM_HELP = """Classify projectivized sums of line bundles over real projective space.
+
+    Members are indexed by (a, b, q): the base is RP^(a-1), the bundle has
+    rank b with q tautological summands.  Classification of a pair (q, q')
+    reports whether the mod-2 cohomology rings are isomorphic, and whether
+    the manifolds are diffeomorphic / homotopy equivalent.
+    """
+PROGRAM_USAGE = "[OPTIONS] COMMAND [ARGS]..."
+HELP_WIDTH = 78  # as wide as click, which this parser replaced, wraps help off a terminal
+
+
+def _parse(args: list[str], options, interspersed: bool) -> tuple[dict, list[str]]:
+    """The raw value of each option given in args (True for a flag), in the
+    order of first use, the last use winning; and the other arguments.
+    Every argument after "--" is another argument; so is every argument
+    after the first that is not an option, unless interspersed.  An
+    option's value is the next argument, whatever it is, or what follows
+    its first "=".  Every option is long, so "-x..." can only be "-x", unknown."""
+    by_name = {option.name: option for option in options}
+    given, rest = {}, []
+    while args:
+        arg = args.pop(0)
+        if arg == "--":
+            break
+        if arg[:1] != "-" or len(arg) == 1:
+            rest.append(arg)
+            if interspersed:
+                continue
+            break
+        name, equals, value = arg.partition("=")
+        option = by_name.get(name)
+        if option is None:
+            if arg[:2] != "--":
+                raise UsageError(f"No such option '-{arg[1]}'.")
+            raise UsageError(f"No such option {name!r}.{_suggestion(name, by_name)}")
+        if option.kind == "flag":
+            if equals:
+                raise UsageError(f"Option {name!r} does not take a value.")
+            value = True
+        elif not equals:
+            if not args:
+                raise UsageError(f"Option {name!r} requires an argument.")
+            value = args.pop(0)
+        given[name] = value
+    return given, rest + args
+
+
+def _suggestion(word: str, names) -> str:
+    """" Did you mean ...?" naming the names close to a mistyped word, or ""."""
+    from difflib import get_close_matches
+
+    close = sorted(get_close_matches(word, names))
+    listed = ", ".join(map(repr, close))
+    if len(close) > 1:
+        return f" (Did you mean one of: {listed}?)"
+    return f" Did you mean {listed}?" if close else ""
+
+
+def _fill(text: str, width: int, first: str = "", rest: str = "") -> str:
+    """text wrapped to width, each blank-line-separated paragraph on its own."""
+    from textwrap import TextWrapper
+
+    wrapper = TextWrapper(width, initial_indent=first, subsequent_indent=rest,
+                          replace_whitespace=False)
+    return "\n\n".join(wrapper.fill(paragraph.replace("\n", " "))
+                        for paragraph in text.expandtabs().split("\n\n"))
+
+
+def _usage(path: str, command: str | None) -> str:
+    """The usage line of a command, or of the program when command is None."""
+    prefix = f"Usage: {path} "
+    return _fill("[OPTIONS]" if command else PROGRAM_USAGE, HELP_WIDTH, prefix, " " * len(prefix))
+
+
+def _definitions(rows) -> list[str]:
+    """rows of (term, text) as an indented two-column list; a term too long
+    for the first column puts its text on the next line."""
+    column = min(max(len(term) for term, _ in rows), 30) + 2
+    lines = []
+    for term, text in rows:
+        if len(term) > column - 2:
+            lines.append(f"  {term}")
+            term = ""
+        first, *more = _fill(text, max(HELP_WIDTH - column - 2, 10)).split("\n")
+        lines += [f"  {term:<{column}}{first}", *(f"  {'':<{column}}{line}" for line in more)]
+    return lines
+
+
+def _summary(doc: str, limit: int) -> str:
+    """The first sentence of doc's first paragraph if it fits in limit
+    characters; else as many of its words as fit with "..."."""
+    words = doc.partition("\n\n")[0].split()
+    for i, word in enumerate(words):
+        if len(" ".join(words[:i + 1])) > limit:
+            break
+        if word.endswith("."):
+            return " ".join(words[:i + 1])
+    else:
+        return " ".join(words)
+    while i and len(" ".join(words[:i])) + len("...") > limit:
+        i -= 1
+    return " ".join(words[:i]) + "..."
+
+
+def _help(path: str, command: str | None) -> str:
+    """The help screen of a command, or of the program when command is None."""
+    from inspect import cleandoc
+
+    function, options = COMMANDS[command] if command else (None, ())
+    lines = [_usage(path, command), "",
+             _fill(cleandoc(function.__doc__ if command else PROGRAM_HELP), HELP_WIDTH, "  ", "  "),
+             "", "Options:", *_definitions([option.help_row() for option in (*options, HELP)])]
+    if not command:
+        limit = HELP_WIDTH - 6 - max(map(len, COMMANDS))
+        lines += ["", "Commands:", *_definitions(
+            [(name, _summary(COMMANDS[name][0].__doc__, limit)) for name in sorted(COMMANDS)])]
+    return "\n".join(lines) + "\n"
+
+
+class _LazyFile:
+    """An --out path, opened at the first write, so that a usage error that
+    comes first makes no file.  A path that cannot be opened is a usage
+    error of the program, as click, which this parser replaced, had it."""
+
+    def __init__(self, path: str):
+        self.path, self.file = path, None
+
+    def write(self, text: str) -> int:
+        if self.file is None:
+            try:
+                self.file = open(self.path, "w")
+            except OSError as exc:
+                raise UsageError(f"Invalid value for '--out': Could not open file "
+                                 f"{self.path!r}: {exc.strerror}", program=True) from exc
+        return self.file.write(text)
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
+
+
+def _program_name() -> str:
+    """How the program was started: `python -m realbott.cli` under -m, else
+    the script's file name."""
+    package, path = getattr(sys.modules["__main__"], "__package__", None), sys.argv[0]
+    if not package:
+        return os.path.basename(path)
+    name = os.path.splitext(os.path.basename(path))[0]
+    return "python -m " + (package if name == "__main__" else f"{package}.{name}").lstrip(".")
+
+
+def _run(args: list[str], prog: str) -> int:
+    """Parse args, run the command they name and return the exit code; a
+    usage error is written after the usage of the command at fault."""
+    command = None
+    try:
+        if not args:
+            sys.stderr.write(_help(prog, None))
+            return USAGE_EXIT
+        given, rest = _parse(args, (HELP,), interspersed=False)
+        if given:
+            sys.stdout.write(_help(prog, None))
+            return 0
+        if not rest:
+            raise UsageError("Missing command.")
+        if rest[0] not in COMMANDS:
+            raise UsageError(f"No such command {rest[0]!r}.{_suggestion(rest[0], COMMANDS)}")
+        command = rest[0]
+        function, options = COMMANDS[command]
+        given, rest = _parse(rest[1:], (*options, HELP), interspersed=True)
+        if HELP.name in given:
+            sys.stdout.write(_help(f"{prog} {command}", command))
+            return 0
+        # options given are converted in the order of their first use, then the others
+        by_name = {option.name: option for option in options}
+        kwargs = {option.dest: option.value(given.get(option.name)) for option in
+                  [*map(by_name.get, given), *(o for o in options if o.name not in given)]}
+        if rest:
+            raise UsageError(f"Got unexpected extra argument{'s' * (len(rest) > 1)} "
+                             f"({' '.join(rest)})")
+        out = kwargs["out"] = sys.stdout if kwargs["out"] == "-" else _LazyFile(kwargs["out"])
+        try:
+            function(**kwargs)
+        finally:
+            if out is not sys.stdout:
+                out.close()
+        return 0
+    except UsageError as exc:
+        if exc.program:
+            command = None
+        path = f"{prog} {command}" if command else prog
+        sys.stderr.write(f"{_usage(path, command)}\nTry '{path} --help' for help.\n\n"
+                         f"Error: {exc}\n")
+        return USAGE_EXIT
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run the realbott command line on args (default: sys.argv[1:]), with
+    prog_name (default: as the program was started) in its usage lines,
+    and exit with its code."""
+    try:
+        try:
+            code = _run(sys.argv[1:] if args is None else list(args), prog_name or _program_name())
+        finally:
+            sys.stdout.flush()  # so that a reader that has gone is seen here
+    except BrokenPipeError:
+        # the reader has gone, as after `| head`: end quietly, and let
+        # Python's flush of stdout at exit go to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = CLOSED_PIPE_EXIT
+    except KeyboardInterrupt:
+        print("realbott: interrupted", file=sys.stderr)
+        code = INTERRUPT_EXIT
+    except Exception:
+        import traceback  # here, not at the top: start-up need not pay for it
+
+        traceback.print_exc()
+        print("realbott: internal error", file=sys.stderr)
+        code = INTERNAL_ERROR_EXIT
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

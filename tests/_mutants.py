@@ -1,17 +1,21 @@
 """Mutation checks: source edits that the Tier-1 suite must notice.
 
-Each entry of MUTANTS is a (file, old, new, why) edit: file is relative to
-src/realbott, old occurs exactly once in it (tests/test_mutants.py checks
-that, so a refactor must carry the list along), and new is the faulty text
-put in its place.  Run from the root of a checkout:
+Each entry of MUTANTS is a (file, old, new, why, killer) edit: file is
+relative to src/realbott, old occurs exactly once in it (tests/test_mutants.py
+checks that, so a refactor must carry the list along), new is the faulty
+text put in its place, and killer is the node id of the test that the
+runner reports as the first to fail.  tests/test_mutants.py also checks that
+the suite still collects every killer, so that renaming or deleting one
+fails Tier-1.  Run from the root of a checkout:
 
     python tests/_mutants.py [INDEX ...]
 
 For each mutant (all, or those whose indices are given) the runner copies
 src/, tests/, perfbench/ and pyproject.toml to a temporary directory,
 applies the edit there, runs the Tier-1 suite but tests/test_mutants.py
-with -x and reports "killed" with the first failing test, or "survived".  It exits 1 if any mutant
-survived.  pytest does not collect this file: its name has no test_ prefix.
+with -x and reports "killed" with the first failing test (and the listed
+killer, when that is another test), or "survived".  It exits 1 if any
+mutant survived.  pytest does not collect this file: its name has no test_ prefix.
 """
 
 from __future__ import annotations
@@ -35,125 +39,175 @@ class Mutant(NamedTuple):
     old: str
     new: str
     why: str
+    killer: str  # the node id of the first test the runner reports as failing
 
 
 MUTANTS = (
     Mutant("arithmetic.py",
            "return 1 << min(k, b.bit_length())",
            "return 1 << min(k, b.bit_length() - 1)",
-           "the diffeomorphism modulus capped one bit too low"),
+           "the diffeomorphism modulus capped one bit too low",
+           "tests/test_acceptance.py::test_criterion_2_headline_counterexample"),
     Mutant("arithmetic.py",
            "for r in (1, 2, 4):",
            "for r in (1, 2, 3):",
-           "k(a) counts the residues 0, 1, 2, 3 mod 8 instead of 0, 1, 2, 4"),
+           "k(a) counts the residues 0, 1, 2, 3 mod 8 instead of 0, 1, 2, 4",
+           "tests/test_acceptance.py::test_criterion_3_h_k_golden_tables_and_inequality"),
     Mutant("arithmetic.py",
            "return q % modulus, (b - q) % modulus",
            "return q % modulus, q % modulus",
-           "the criteria drop the residue of the complement b - q"),
+           "the criteria drop the residue of the complement b - q",
+           "tests/test_acceptance.py::test_criterion_1_oracle_matches_congruence_criterion"),
     Mutant("cohomology.py",
            "last = min(d - self.b, self.a - 1)",
            "last = min(d - self.b - 1, self.a - 1)",
-           "reduce leaves the last bit with y-exponent >= b unrewritten"),
+           "reduce leaves the last bit with y-exponent >= b unrewritten",
+           "tests/test_acceptance.py::test_criterion_1_oracle_matches_congruence_criterion"),
     Mutant("oracle.py",
            "return _rank(dst.reduce(subst.fx, 1), dst.reduce(subst.fy, 1)) == betti(dst, 1)",
            "return _rank(dst.reduce(subst.fx, 1), dst.reduce(subst.fy, 1)) >= 1",
-           "a substitution of degree-1 rank 1 passes as an isomorphism"),
+           "a substitution of degree-1 rank 1 passes as an isomorphism",
+           "tests/test_acceptance.py::test_criterion_1_oracle_matches_congruence_criterion"),
     Mutant("cohomology.py",
            "((0b10, pres.a), (0b01, pres.b - pres.q), (0b11, pres.q))",
            "((0b10, pres.a), (0b01, pres.q), (0b11, pres.b - pres.q))",
-           "the Stiefel-Whitney exponents of y and x + y swapped"),
+           "the Stiefel-Whitney exponents of y and x + y swapped",
+           "tests/test_cohomology.py::TestTotalSWClass::test_frozen_examples[4-5-3-expected6]"),
     Mutant("arithmetic.py",
            "return math.inf if a <= 9 else cohomology_modulus",
            "return math.inf if a <= 10 else cohomology_modulus",
-           "rigidity claimed at a = 10, where h(10) = 4 < k(10) = 5"),
+           "rigidity claimed at a = 10, where h(10) = 4 < k(10) = 5",
+           "tests/test_acceptance.py::test_criterion_6_rigidity_dichotomy"),
     Mutant("cohomology.py",
            "if mask >> d + 1 or self.pres.reduce(mask, d) != mask:",
            "if self.pres.reduce(mask, d) != mask:",
-           "RingElement accepts a bit above its degree, a negative y-exponent"),
+           "RingElement accepts a bit above its degree, a negative y-exponent",
+           "tests/test_cohomology.py::TestElementArithmetic::test_pieces_not_in_normal_form_rejected[above-degree]"),
     Mutant("oracle.py",
            "if betti(dst, 1) < 2 else _INVERTIBLE",
            "if betti(dst, 1) < 1 else _INVERTIBLE",
-           "the rows a = 1 and b = 1 search only the invertible substitutions"),
+           "the rows a = 1 and b = 1 search only the invertible substitutions",
+           "tests/test_oracle.py::TestAgainstReferenceSearch::test_same_verdict_and_first_witness[1-2]"),
     Mutant("oracle.py",
            "ideals.setdefault(ring._rel2, ring)",
            "ideals.setdefault(ring._rel2 & 0b111, ring)",
-           "rings grouped by C(q, t) for t < 3 only, a key coarser than the ideal"),
+           "rings grouped by C(q, t) for t < 3 only, a key coarser than the ideal",
+           "tests/test_cli.py::TestExitCodes::test_valid_input_answers_and_invalid_input_is_usage_error"),
     Mutant("oracle.py",
            "if not is_graded_isomorphism(IDENTITY_SUBSTITUTION, ring, first):",
            "if False:",
-           "a failed identity check within an ideal is not a fault"),
+           "a failed identity check within an ideal is not a fault",
+           "tests/test_cli.py::TestVerify::test_identity_rejected_within_an_ideal_is_internal_error"),
     Mutant("arithmetic.py",
            "return [min(_criterion_residues(b, q, m))",
            "return [max(_criterion_residues(b, q, m))",
-           "criterion_classes names a class by its largest residue, not its least q"),
+           "criterion_classes names a class by its largest residue, not its least q",
+           "tests/test_oracle.py::TestCellIsomorphisms::test_agrees_with_criterion_in_the_headline_regime"),
     Mutant("oracle.py",
            "if target is not None and is_graded_isomorphism(subst, ring, target):",
            "if target is not None:",
-           "a landing joins the class without a check"),
+           "a landing joins the class without a check",
+           "tests/test_cli.py::TestVerify::test_search_fault_is_a_mismatch"),
     Mutant("oracle.py",
            "ideals.get(image & ring._below_a)",
            "ideals.get(image)",
-           "the image of the second relation is not cut below x^a"),
+           "the image of the second relation is not cut below x^a",
+           "tests/test_cli.py::TestVerify::test_small_grid_passes"),
     Mutant("oracle.py",
            "for subst in _NONIDENTITY:",
            "for subst in ():",
-           "only the identity is tried: every ideal becomes its own class"),
+           "only the identity is tried: every ideal becomes its own class",
+           "tests/test_cli.py::TestExitCodes::test_valid_input_answers_and_invalid_input_is_usage_error"),
     Mutant("cli.py",
            "if by_oracle != by_criterion:",
            "if False:",
-           "verify never compares the pairs of a cell, even when the two lists differ"),
+           "verify never compares the pairs of a cell, even when the two lists differ",
+           "tests/test_cli.py::TestVerify::test_search_fault_is_a_mismatch"),
     Mutant("oracle.py",
            "return len({u, v} - {0})",
            "return len({u, v})",
-           "the two-row degree-1 rank counts the zero vector"),
+           "the two-row degree-1 rank counts the zero vector",
+           "tests/test_acceptance.py::test_criterion_1_oracle_matches_congruence_criterion"),
     Mutant("oracle.py",
            "least[key] = min(landings)",
            "least[key] = max(landings)",
-           "an ideal's class is named by its largest landing, not its least"),
+           "an ideal's class is named by its largest landing, not its least",
+           "tests/test_oracle.py::TestCellIsomorphisms::test_agrees_with_all_pairs_search[2]"),
     Mutant("oracle.py",
            "is_graded_isomorphism(IDENTITY_SUBSTITUTION, ring, first)",
            "is_graded_isomorphism(IDENTITY_SUBSTITUTION, first, first)",
-           "the identity is checked only from the first ring of each ideal"),
+           "the identity is checked only from the first ring of each ideal",
+           "tests/test_cli.py::TestVerify::test_identity_rejected_within_an_ideal_is_internal_error"),
     Mutant("oracle.py",
            "if _rank(subst.fx, subst.fy) == 2)",
            "if _rank(subst.fx, subst.fy) >= 1)",
-           "the invertible substitutions admit those of rank 1"),
+           "the invertible substitutions admit those of rank 1",
+           "tests/test_oracle.py::TestLemmas::test_invertible_substitutions_in_search_order"),
     Mutant("gf2poly.py",
            '_FORM_NAMES = ("0", "y", "x", "x+y")',
            '_FORM_NAMES = ("0", "x", "y", "x+y")',
-           "witnesses spell the form masks of x and y swapped"),
+           "witnesses spell the form masks of x and y swapped",
+           "tests/test_cli.py::TestClassify::test_large_a_oracle_has_no_recursion_limit[a700-b10]"),
     Mutant("gf2poly.py",
            "if self.fx not in range(4) or self.fy not in range(4):",
            "if self.fx not in range(0b1000) or self.fy not in range(0b1000):",
-           "LinearSubstitution accepts form masks up to 0b111"),
+           "LinearSubstitution accepts form masks up to 0b111",
+           "tests/test_gf2poly.py::TestSubstitution::test_non_bit_coefficients_rejected"),
     Mutant("oracle.py",
            "            return subst\n    return None",
            "            return IDENTITY_SUBSTITUTION\n    return None",
-           "the search returns the identity in place of its witness"),
+           "the search returns the identity in place of its witness",
+           "tests/test_cli.py::TestClassify::test_large_a_oracle_has_no_recursion_limit[a700-b10]"),
     Mutant("cli.py",
            "if (witness is not None) != verdict.cohomology_isomorphic:",
            "if (witness is None) != verdict.cohomology_isomorphic:",
-           "classify --oracle tests a missing witness against the criterion"),
+           "classify --oracle tests a missing witness against the criterion",
+           "tests/test_arithmetic.py::TestClassify::test_oracle_disagreement_raises"),
     Mutant("arithmetic.py",
            "if runs and runs[-1][0] == pair:",
            "if False:",
-           "counterexample runs never merge: one run per b"),
+           "counterexample runs never merge: one run per b",
+           "tests/test_arithmetic.py::TestCounterexampleMaxima::test_matches_the_maxima_of_the_cells[10]"),
     Mutant("cli.py",
            "if (witness is not None) != verdict.cohomology_isomorphic:",
            "if False:",
-           "classify --oracle never compares the search with the criterion"),
+           "classify --oracle never compares the search with the criterion",
+           "tests/test_arithmetic.py::TestClassify::test_oracle_disagreement_raises"),
     Mutant("cli.py",
            "verdict.oracle_witness = witness",
            "verdict.oracle_witness = None",
-           "classify --oracle does not attach the witness it found"),
+           "classify --oracle does not attach the witness it found",
+           "tests/test_cli.py::TestClassify::test_oracle_attaches_witness"),
     Mutant("cli.py",
            "for a in reversed(a_range):",
            "for a in a_range:",
-           "counterexamples text widths are read off the first row with cells, not the last"),
+           "counterexamples text widths are read off the first row with cells, not the last",
+           "tests/test_cli.py::TestCounterexamples::test_matches_per_cell_records[64-130-text]"),
     Mutant("arithmetic.py",
            "return self.diffeomorphic",
            "return self.cohomology_isomorphic",
-           "homotopy equivalence is reported as the cohomology verdict"),
+           "homotopy equivalence is reported as the cohomology verdict",
+           "tests/test_acceptance.py::test_criterion_2_headline_counterexample"),
+    Mutant("cli.py",
+           "            if self.required:\n",
+           "            if False:\n",
+           "a required option that is not given gets its default, None",
+           "tests/test_cli.py::TestSurface::test_replays_recorded_output[classify_--a_1_--b_2_--q_0]"),
+    Mutant("cli.py",
+           'name, equals, value = arg.partition("=")',
+           'name, equals, value = arg.rpartition("=") if arg.count("=") > 1 else arg.partition("=")',
+           "--name=VALUE is split at its last =, not its first",
+           "tests/test_cli.py::TestVerify::test_only_value_with_equals_signs"),
+    Mutant("cli.py",
+           "HELP_WIDTH = 78",
+           "HELP_WIDTH = 80",
+           "help is wrapped at 80 columns, not 78",
+           "tests/test_cli.py::TestReferenceDigests::test_stdout_matches_recorded_digest[--help]"),
+    Mutant("cli.py",
+           "given[name] = value",
+           "given.setdefault(name, value)",
+           "the first of a repeated option wins, not the last",
+           "tests/test_cli.py::TestSurface::test_replays_recorded_output[classify_--a_5_--a_2_--b_2_--q_0_--q-prime_2]"),
 )
 
 # tests/test_mutants.py is left out: in the copy it reads the mutated source,
@@ -192,6 +246,8 @@ def main(argv: list[str]) -> int:
         failure = run_mutant(mutant)
         survived += failure is None
         verdict = "survived" if failure is None else f"killed by {failure}"
+        if failure not in (None, mutant.killer):
+            verdict += f" (listed killer: {mutant.killer})"
         print(f"{index} {mutant.file}: {mutant.why}: {verdict}", flush=True)
     return 1 if survived else 0
 

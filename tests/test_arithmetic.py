@@ -388,8 +388,7 @@ class TestClassify:
         # classify --oracle raise SystemExit(1) out of the command itself
         monkeypatch.setattr(cli, "rings_isomorphic_bruteforce", lambda src, dst: None)
         with pytest.raises(SystemExit) as exc:
-            cli.main.main(["classify", "--a", "2", "--b", "2", "--q", "0",
-                           "--q-prime", "2", "--oracle"], standalone_mode=False)
+            cli.main(["classify", "--a", "2", "--b", "2", "--q", "0", "--q-prime", "2", "--oracle"])
         assert exc.value.code == 1
 
     def test_verdict_consistency_enforced(self):

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -9,9 +10,9 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -40,18 +41,44 @@ REFERENCE_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "refe
 SURFACE = json.loads((Path(__file__).resolve().parent / "cli_surface.json").read_text())
 
 
-class _Runner(CliRunner):
-    """CliRunner that wraps help at 78 columns, as click does when stdout
-    is not a terminal."""
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved, as a terminal shows them
 
-    def invoke(self, cli, args=None, **extra):
-        extra.setdefault("terminal_width", 78)
-        return super().invoke(cli, args, **extra)
+
+class _Tee(io.StringIO):
+    """A captured stream that also copies every write to a shared log."""
+
+    def __init__(self, log: io.StringIO):
+        super().__init__()
+        self.log = log
+
+    def write(self, text: str) -> int:
+        self.log.write(text)
+        return super().write(text)
+
+
+class Runner:
+    """Runs main in this process with stdout and stderr captured."""
+
+    def invoke(self, cli, args: list[str], prog_name: str = "realbott") -> Result:
+        log = io.StringIO()
+        out, err = _Tee(log), _Tee(log)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli(args, prog_name)
+            except SystemExit as exc:
+                code = exc.code
+            else:
+                raise AssertionError("main returned without exiting")
+        return Result(code, out.getvalue(), err.getvalue(), log.getvalue())
 
 
 @pytest.fixture
 def runner():
-    return _Runner()
+    return Runner()
 
 
 def masked_elapsed(output: str) -> str:
@@ -564,9 +591,20 @@ def engine_argv(draw) -> list[str]:
     return argv if only is None else [*argv, "--only", only]
 
 
+@st.composite
+def cut_argv(draw) -> list[str]:
+    """argv of any command that ends in one of its options with no value,
+    or in a flag given "=value"."""
+    argv = draw(criteria_argv() | engine_argv())
+    if draw(st.booleans()):
+        return [*argv, draw(st.sampled_from([*argv[1::2], "--out"]))]
+    flag = {"classify": "--oracle", "verify": "--extended"}.get(argv[0], "--help")
+    return [*argv, f"{flag}={draw(st.text(max_size=3))}"]
+
+
 class TestExitCodes:
     @settings(deadline=None, max_examples=400)
-    @given(criteria_argv() | engine_argv())
+    @given(criteria_argv() | engine_argv() | cut_argv())
     @example(["classify", "--a", str(10**18), "--b", "3", "--q", "0", "--q-prime", "3"])
     @example(["table", "--a", str(10**18), "--b", "12", "--format", "text"])
     @example(["counterexamples", "--a-max", "40", "--b-max", "40", "--format", "json"])
@@ -574,12 +612,32 @@ class TestExitCodes:
     @example(["verify", "--a-max", "4", "--b-max", "4", "--only", "a=12,b=12"])
     @example(["verify", "--a-max", "1", "--b-max", "1", "--only", "b=1,a=0"])
     @example(["sw", "--a", "30", "--b", "30", "--q", "15", "--format", "json"])
+    @example(["classify", "--a"])
+    @example(["verify", "--extended=1"])
     def test_valid_input_answers_and_invalid_input_is_usage_error(self, argv):
-        result = CliRunner().invoke(main, argv)
+        result = Runner().invoke(main, argv)
         assert result.exit_code in (0, 2), (result.exit_code, result.output)
         assert "Traceback" not in result.output
         if result.exit_code == 2:
             assert "Usage:" in result.stderr
+
+
+def test_start_up_does_not_import_click():
+    # click took about 20 ms and 2 MB of every start-up; nothing may bring it back
+    script = ("import sys\n"
+              "from realbott import cli\n"
+              "try:\n"
+              "    cli.main(args=['--help'], prog_name='realbott')\n"
+              "finally:\n"
+              "    print(sorted(name for name in sys.modules if name.split('.')[0] == 'click'),\n"
+              "          file=sys.stderr)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("Usage: realbott [OPTIONS] COMMAND [ARGS]...")
+    assert result.stderr == "[]\n"
 
 
 def cli_child(argv: list[str], **popen) -> subprocess.Popen:
@@ -646,13 +704,19 @@ class TestReferenceDigests:
     ])
     def test_stdout_matches_recorded_digest(self, runner, command):
         digests = json.loads(REFERENCE_DIGESTS.read_text())
-        # click wraps help at 78 columns when stdout is not a terminal, as in
-        # the benchmark's child processes; CliRunner alone would force 80
-        result = runner.invoke(
-            main, command.split(), prog_name="python -m realbott.cli", terminal_width=78
-        )
+        result = runner.invoke(main, command.split(), prog_name="python -m realbott.cli")
         assert result.exit_code == 0
-        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digests[command]
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digests[command]
+
+    def test_help_is_78_wide_on_any_terminal(self, monkeypatch):
+        # click wrapped help at COLUMNS - 2, so a caller's COLUMNS=60 failed
+        # the benchmark's warm-up
+        monkeypatch.setenv("COLUMNS", "60")
+        child = cli_child(["--help"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = child.communicate(timeout=60)
+        assert child.returncode == 0, err
+        digest = json.loads(REFERENCE_DIGESTS.read_text())["--help"]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSurface:
@@ -706,6 +770,12 @@ class TestVerify:
         assert result.exit_code == 2
         assert "--only expects" in result.output
         assert "checked" not in result.output
+
+    def test_only_value_with_equals_signs(self, runner):
+        # an option's value is all that follows its first "="
+        result = runner.invoke(main, ["verify", "--only=a=2,b=3"])
+        assert result.exit_code == 0
+        assert "a=2 b=3: 16 pairs, 0 mismatches" in result.output
 
     def test_only_keys_in_any_order(self, runner):
         result = runner.invoke(main, ["verify", "--only", "b=3,a=2"])
@@ -802,16 +872,23 @@ class TestOut:
         assert list(tmp_path.iterdir()) == []
 
 
+def run_quietly(argv: list[str]) -> None:
+    """main(argv), which must exit 0."""
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+
+
 def traced_peaks(*argvs: list[str]) -> list[int]:
     """The peak bytes tracemalloc sees while main runs each argv with --out
-    /dev/null (CliRunner would hold the whole output).  The last argv runs
+    /dev/null (Runner would hold the whole output).  The last argv runs
     once untraced first, so that lazy imports and caches count in none."""
-    main([*argvs[-1], "--out", os.devnull], standalone_mode=False)
+    run_quietly([*argvs[-1], "--out", os.devnull])
     peaks = []
     for argv in argvs:
         tracemalloc.start()
         try:
-            main([*argv, "--out", os.devnull], standalone_mode=False)
+            run_quietly([*argv, "--out", os.devnull])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
