@@ -421,8 +421,7 @@ PROGRAM_HELP = """Classify projectivized sums of line bundles over real projecti
     reports whether the mod-2 cohomology rings are isomorphic, and whether
     the manifolds are diffeomorphic / homotopy equivalent.
     """
-PROGRAM_USAGE = "[OPTIONS] COMMAND [ARGS]..."
-HELP_WIDTH = 78  # as wide as click, which this parser replaced, wraps help off a terminal
+HELP_WIDTH = 78  # on every terminal: perfbench/reference.json holds the --help digest
 
 
 def _parse(args: list[str], options, interspersed: bool) -> tuple[dict, list[str]]:
@@ -479,13 +478,14 @@ def _fill(text: str, width: int, first: str = "", rest: str = "") -> str:
     wrapper = TextWrapper(width, initial_indent=first, subsequent_indent=rest,
                           replace_whitespace=False)
     return "\n\n".join(wrapper.fill(paragraph.replace("\n", " "))
-                        for paragraph in text.expandtabs().split("\n\n"))
+                        for paragraph in text.split("\n\n"))
 
 
 def _usage(path: str, command: str | None) -> str:
     """The usage line of a command, or of the program when command is None."""
     prefix = f"Usage: {path} "
-    return _fill("[OPTIONS]" if command else PROGRAM_USAGE, HELP_WIDTH, prefix, " " * len(prefix))
+    pieces = "[OPTIONS]" if command else "[OPTIONS] COMMAND [ARGS]..."
+    return _fill(pieces, HELP_WIDTH, prefix, " " * len(prefix))
 
 
 def _definitions(rows) -> list[str]:
@@ -497,7 +497,7 @@ def _definitions(rows) -> list[str]:
         if len(term) > column - 2:
             lines.append(f"  {term}")
             term = ""
-        first, *more = _fill(text, max(HELP_WIDTH - column - 2, 10)).split("\n")
+        first, *more = _fill(text, HELP_WIDTH - column - 2).split("\n")
         lines += [f"  {term:<{column}}{first}", *(f"  {'':<{column}}{line}" for line in more)]
     return lines
 
@@ -536,7 +536,7 @@ def _help(path: str, command: str | None) -> str:
 class _LazyFile:
     """An --out path, opened at the first write, so that a usage error that
     comes first makes no file.  A path that cannot be opened is a usage
-    error of the program, as click, which this parser replaced, had it."""
+    error of the whole program, not of the command."""
 
     def __init__(self, path: str):
         self.path, self.file = path, None
@@ -562,7 +562,7 @@ def _program_name() -> str:
     if not package:
         return os.path.basename(path)
     name = os.path.splitext(os.path.basename(path))[0]
-    return "python -m " + (package if name == "__main__" else f"{package}.{name}").lstrip(".")
+    return "python -m " + (package if name == "__main__" else f"{package}.{name}")
 
 
 def _run(args: list[str], prog: str) -> int:
