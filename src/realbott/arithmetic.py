@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .gf2poly import LinearSubstitution
+if TYPE_CHECKING:  # the witness's type only: arithmetic needs no ring code to run
+    from .gf2poly import LinearSubstitution
 
 __all__ = [
     "h_of",

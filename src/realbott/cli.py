@@ -13,11 +13,12 @@ ClassificationVerdict.
 classify --oracle and verify compare the ring oracle with the congruence
 criterion here; the library only computes each side.
 The command line needs nothing beyond the standard library.  COMMANDS lists
-each command's function and its long options, and one loop (_parse) reads
-argv against it: "--name VALUE", "--name=VALUE", flags, repeats (the last
-wins), "--" and an eager --help.  Help screens and usage errors keep the
-layout of click, which this parser replaced: 78 columns wide on every
-terminal, and every usage error (exit 2) under its command's usage line.
+each command's function and its long options (name, kind, default, help),
+and one loop (_parse) reads argv against it: "--name VALUE", "--name=VALUE",
+flags, repeats (the last wins), "--" and an eager --help.  Help screens and
+usage errors keep the layout of click, which this parser replaced: 78
+columns wide on every terminal, and every usage error (exit 2) under its
+command's usage line.
 Exit codes: 0 success, 1 the ring oracle and the congruence criterion
 disagree, 2 usage error, 3 internal error (with its traceback on stderr),
 130 interrupted (128 + SIGINT), 141 stdout closed by its reader (128 +
@@ -185,7 +186,7 @@ def emit_records(verdicts: list[ClassificationVerdict], fmt: str, out: IO[str]) 
     _stream([[_record(v, fmt, columns) for v in verdicts]], fmt, out, columns, names)
 
 
-def classify(a, b, q, q_prime, oracle, fmt, out) -> None:
+def classify(a, b, q, q_prime, oracle, format, out) -> None:
     """Classify a single pair (q, q') for fixed (a, b)."""
     # only classify's input checks raise ValueError; an inconsistent verdict
     # raises RuntimeError, an internal error
@@ -202,7 +203,7 @@ def classify(a, b, q, q_prime, oracle, fmt, out) -> None:
                   f"{verdict.cohomology_isomorphic}", file=sys.stderr)
             sys.exit(1)
         verdict.oracle_witness = witness
-    emit_records([verdict], fmt, out)
+    emit_records([verdict], format, out)
 
 
 def _check_bounds(a: int, b: int) -> None:
@@ -210,30 +211,30 @@ def _check_bounds(a: int, b: int) -> None:
         raise UsageError(f"bounds must be >= 1, got a={a}, b={b}")
 
 
-def table(a, b, fmt, out) -> None:
+def table(a, b, format, out) -> None:
     """Classify every pair 0 <= q <= q' <= b for fixed (a, b)."""
     _check_bounds(a, b)
     # every column's widest cell is known before the first row: the row q = b holds (b, b)
     columns = _text_columns((a, b, b, b, h_of(a), k_of(a)))
 
-    cells = [_slot(fmt, columns, 3) % q_prime for q_prime in range(b + 1)]
+    cells = [_slot(format, columns, 3) % q_prime for q_prime in range(b + 1)]
 
     def rows():
         for q in range(b + 1):
             h, k, runs = criteria_runs(a, b, q)
-            yield _render_runs(runs, fmt, columns, 3, cells, lambda truth, q_prime:
+            yield _render_runs(runs, format, columns, 3, cells, lambda truth, q_prime:
                                ClassificationVerdict(a, b, q, q_prime, h, k, *truth))
 
-    _stream(rows(), fmt, out, columns)
+    _stream(rows(), format, out, columns)
 
 
-def counterexamples(a_max, b_max, fmt, out) -> None:
+def counterexamples(a_max, b_max, format, out) -> None:
     """List, for each (a, b) in range where rigidity fails, a constructed
     pair with isomorphic cohomology but non-diffeomorphic manifolds."""
     _check_bounds(a_max, b_max)
     # a row has cells only if 2^h(a) < b_max, and a <= 2^h(a): no a >= b_max has any
     a_range, columns = range(1, min(a_max, b_max - 1) + 1), ()
-    if fmt == "text":
+    if format == "text":
         # a, 2^h(a), h and k never fall as a grows, and every row ends at
         # b_max: so the last row with cells holds the widest cell of every
         # column but q, which is 0 or 1 and never wider than its name.  A row
@@ -253,11 +254,11 @@ def counterexamples(a_max, b_max, fmt, out) -> None:
             if not runs:
                 continue
             # every row ends at b_max; counterexample_runs has checked every cell
-            cells = cells or [_slot(fmt, columns, 1) % b for b in range(b_max + 1)]
-            yield _render_runs(runs, fmt, columns, 1, cells, lambda pair, b:
+            cells = cells or [_slot(format, columns, 1) % b for b in range(b_max + 1)]
+            yield _render_runs(runs, format, columns, 1, cells, lambda pair, b:
                                ClassificationVerdict(a, b, *pair, h, k, True, False))
 
-    _stream(rendered(), fmt, out, columns)
+    _stream(rendered(), format, out, columns)
 
 
 def _parse_only(text: str) -> tuple[int, int]:
@@ -316,14 +317,14 @@ def _extended_sweeps() -> str:
     )
 
 
-def sw(a, b, q, fmt, out) -> None:
+def sw(a, b, q, format, out) -> None:
     """Print the total Stiefel-Whitney class of the member (a, b, q)."""
     try:
         pres = RingPresentation(a, b, q)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     cls = str(total_sw_class(pres))
-    if fmt == "json":
+    if format == "json":
         import json  # here, not at the top: only witnesses and sw need it
 
         out.write(json.dumps({"a": a, "b": b, "q": q, "sw_class": cls}) + "\n")
@@ -333,24 +334,36 @@ def sw(a, b, q, fmt, out) -> None:
 
 class Option(NamedTuple):
     """One long option of a command, as the parser and the help read it.
-    kind is "int" (converted by int()), "text", "flag" (no value; True when
-    given), "file" (an --out path, "-" for stdout) or the tuple of a
-    choice's values.  A default shows in the help unless it is None, a
-    flag's or a file's."""
+    kind is "int" (converted by int(); required unless it has a default),
+    "text", "flag" (no value; True when given, else False), "file" (an
+    --out path; stdout when it is "-" or not given) or the tuple of a
+    choice's values (the first when not given).  The command receives the
+    value under the option's name without its dashes, "-" read as "_"."""
 
     name: str
-    dest: str
     kind: object
     default: object = None
-    required: bool = False
     help: str = ""
+
+    @property
+    def required(self) -> bool:
+        return self.kind == "int" and self.default is None
+
+    @property
+    def fallback(self):
+        """The value of an int, text or choice option that is not given."""
+        return self.kind[0] if isinstance(self.kind, tuple) else self.default
 
     def value(self, raw: str | None):
         """The keyword value of the option given as raw, or not given (None)."""
+        if self.kind == "flag":
+            return raw is not None
+        if self.kind == "file":
+            return sys.stdout if raw in (None, "-") else _LazyFile(raw)
         if raw is None:
             if self.required:
                 raise UsageError(f"Missing option '{self.name}'.")
-            return self.default
+            return self.fallback
         if self.kind == "int":
             try:
                 return int(raw)
@@ -368,49 +381,44 @@ class Option(NamedTuple):
             term = f"{self.name} [{'|'.join(self.kind)}]"
         else:
             term = self.name + {"int": " INTEGER", "text": " TEXT", "file": " FILENAME"}.get(self.kind, "")
-        extras = []
-        if self.default is not None and self.kind not in ("flag", "file"):
-            extras.append(f"default: {self.default}")
-        if self.required:
-            extras.append("required")
-        return term, f"{self.help}  [{'; '.join(extras)}]".lstrip() if extras else self.help
+        note = ("[required]" if self.required else
+                "" if self.fallback is None else f"[default: {self.fallback}]")
+        return term, f"{self.help}  {note}".strip()
 
 
-HELP = Option("--help", "help", "flag", help="Show this message and exit.")
-FORMAT = Option("--format", "fmt", FORMATS, "text", help="Output format.")
-OUT = Option("--out", "out", "file", "-", help="Write output to FILE instead of stdout.")
+HELP = Option("--help", "flag", help="Show this message and exit.")
+FORMAT = Option("--format", FORMATS, help="Output format.")
+OUT = Option("--out", "file", help="Write output to FILE instead of stdout.")
 
 # Each command's function and its options, in the order its help lists them.
 COMMANDS = {
     "classify": (classify, (
-        Option("--a", "a", "int", required=True, help="Base dimension parameter (>= 1)."),
-        Option("--b", "b", "int", required=True, help="Bundle rank (>= 1)."),
-        Option("--q", "q", "int", required=True, help="Tautological summands, first member."),
-        Option("--q-prime", "q_prime", "int", required=True,
-               help="Tautological summands, second member."),
-        Option("--oracle", "oracle", "flag", False,
-               help="Also run the brute-force ring isomorphism search."),
+        Option("--a", "int", help="Base dimension parameter (>= 1)."),
+        Option("--b", "int", help="Bundle rank (>= 1)."),
+        Option("--q", "int", help="Tautological summands, first member."),
+        Option("--q-prime", "int", help="Tautological summands, second member."),
+        Option("--oracle", "flag", help="Also run the brute-force ring isomorphism search."),
         FORMAT, OUT)),
     "table": (table, (
-        Option("--a", "a", "int", required=True),
-        Option("--b", "b", "int", required=True),
+        Option("--a", "int"),
+        Option("--b", "int"),
         FORMAT, OUT)),
     "counterexamples": (counterexamples, (
-        Option("--a-max", "a_max", "int", required=True),
-        Option("--b-max", "b_max", "int", required=True),
+        Option("--a-max", "int"),
+        Option("--b-max", "int"),
         FORMAT, OUT)),
     "verify": (verify, (
-        Option("--a-max", "a_max", "int", 6),
-        Option("--b-max", "b_max", "int", 7),
-        Option("--only", "only", "text", help="Restrict to one cell, e.g. 'a=10,b=17'."),
-        Option("--extended", "extended", "flag", False,
+        Option("--a-max", "int", 6),
+        Option("--b-max", "int", 7),
+        Option("--only", "text", help="Restrict to one cell, e.g. 'a=10,b=17'."),
+        Option("--extended", "flag",
                help="Also sweep the nonvanishing checks and the Stiefel-Whitney swap symmetry."),
         OUT)),
     "sw": (sw, (
-        Option("--a", "a", "int", required=True),
-        Option("--b", "b", "int", required=True),
-        Option("--q", "q", "int", required=True),
-        Option("--format", "fmt", ("text", "json"), "text"),
+        Option("--a", "int"),
+        Option("--b", "int"),
+        Option("--q", "int"),
+        Option("--format", ("text", "json")),
         OUT)),
 }
 
@@ -425,8 +433,8 @@ HELP_WIDTH = 78  # on every terminal: perfbench/reference.json holds the --help 
 
 
 def _parse(args: list[str], options, interspersed: bool) -> tuple[dict, list[str]]:
-    """The raw value of each option given in args (True for a flag), in the
-    order of first use, the last use winning; and the other arguments.
+    """Each option given in args with its raw value (True for a flag), in
+    the order of first use, the last use winning; and the other arguments.
     Every argument after "--" is another argument; so is every argument
     after the first that is not an option, unless interspersed.  An
     option's value is the next argument, whatever it is, or what follows
@@ -456,7 +464,7 @@ def _parse(args: list[str], options, interspersed: bool) -> tuple[dict, list[str
             if not args:
                 raise UsageError(f"Option {name!r} requires an argument.")
             value = args.pop(0)
-        given[name] = value
+        given[option] = value
     return given, rest + args
 
 
@@ -489,33 +497,20 @@ def _usage(path: str, command: str | None) -> str:
 
 
 def _definitions(rows) -> list[str]:
-    """rows of (term, text) as an indented two-column list; a term too long
-    for the first column puts its text on the next line."""
-    column = min(max(len(term) for term, _ in rows), 30) + 2
-    lines = []
-    for term, text in rows:
-        if len(term) > column - 2:
-            lines.append(f"  {term}")
-            term = ""
-        first, *more = _fill(text, HELP_WIDTH - column - 2).split("\n")
-        lines += [f"  {term:<{column}}{first}", *(f"  {'':<{column}}{line}" for line in more)]
-    return lines
+    """rows of (term, text) as an indented two-column list, text wrapped in
+    its column."""
+    column = max(len(term) for term, _ in rows) + 2
+    return [_fill(text, HELP_WIDTH, f"  {term:<{column}}", " " * (column + 2)) for term, text in rows]
 
 
 def _summary(doc: str, limit: int) -> str:
-    """The first sentence of doc's first paragraph if it fits in limit
-    characters; else as many of its words as fit with "..."."""
-    words = doc.partition("\n\n")[0].split()
-    for i, word in enumerate(words):
-        if len(" ".join(words[:i + 1])) > limit:
-            break
-        if word.endswith("."):
-            return " ".join(words[:i + 1])
-    else:
-        return " ".join(words)
-    while i and len(" ".join(words[:i])) + len("...") > limit:
-        i -= 1
-    return " ".join(words[:i]) + "..."
+    """The first sentence of doc (up to its first word that ends in ".") if
+    it fits in limit characters; else as many of its words as fit with "..."."""
+    from textwrap import shorten
+
+    words = doc.split()
+    end = next(i for i, word in enumerate(words, 1) if word.endswith("."))
+    return shorten(" ".join(words[:end]), limit, placeholder="...", break_on_hyphens=False)
 
 
 def _help(path: str, command: str | None) -> str:
@@ -558,11 +553,10 @@ class _LazyFile:
 def _program_name() -> str:
     """How the program was started: `python -m realbott.cli` under -m, else
     the script's file name."""
-    package, path = getattr(sys.modules["__main__"], "__package__", None), sys.argv[0]
-    if not package:
-        return os.path.basename(path)
-    name = os.path.splitext(os.path.basename(path))[0]
-    return "python -m " + (package if name == "__main__" else f"{package}.{name}")
+    spec = getattr(sys.modules["__main__"], "__spec__", None)
+    if spec is None:
+        return os.path.basename(sys.argv[0])
+    return "python -m " + spec.name.removesuffix(".__main__")
 
 
 def _run(args: list[str], prog: str) -> int:
@@ -584,22 +578,20 @@ def _run(args: list[str], prog: str) -> int:
         command = rest[0]
         function, options = COMMANDS[command]
         given, rest = _parse(rest[1:], (*options, HELP), interspersed=True)
-        if HELP.name in given:
+        if HELP in given:
             sys.stdout.write(_help(f"{prog} {command}", command))
             return 0
         # options given are converted in the order of their first use, then the others
-        by_name = {option.name: option for option in options}
-        kwargs = {option.dest: option.value(given.get(option.name)) for option in
-                  [*map(by_name.get, given), *(o for o in options if o.name not in given)]}
+        kwargs = {o.name[2:].replace("-", "_"): o.value(given.get(o)) for o in
+                  [*given, *(o for o in options if o not in given)]}
         if rest:
             raise UsageError(f"Got unexpected extra argument{'s' * (len(rest) > 1)} "
                              f"({' '.join(rest)})")
-        out = kwargs["out"] = sys.stdout if kwargs["out"] == "-" else _LazyFile(kwargs["out"])
         try:
             function(**kwargs)
         finally:
-            if out is not sys.stdout:
-                out.close()
+            if kwargs["out"] is not sys.stdout:
+                kwargs["out"].close()
         return 0
     except UsageError as exc:
         if exc.program:

@@ -3,19 +3,22 @@
 Each entry of MUTANTS is a (file, old, new, why, killer) edit: file is
 relative to src/realbott, old occurs exactly once in it (tests/test_mutants.py
 checks that, so a refactor must carry the list along), new is the faulty
-text put in its place, and killer is the node id of the test that the
-runner reports as the first to fail.  tests/test_mutants.py also checks that
-the suite still collects every killer, so that renaming or deleting one
-fails Tier-1.  Run from the root of a checkout:
+text put in its place, and killer is the node id of a test that fails
+under the edit, with no Hypothesis draw.  tests/test_mutants.py also checks
+that the suite still collects every killer, so that renaming or deleting one
+fails Tier-1, and that no killer is a Hypothesis test.  Run from the root
+of a checkout:
 
     python tests/_mutants.py [INDEX ...]
 
 For each mutant (all, or those whose indices are given) the runner copies
-src/, tests/, perfbench/ and pyproject.toml to a temporary directory,
-applies the edit there, runs the Tier-1 suite but tests/test_mutants.py
-with -x and reports "killed" with the first failing test (and the listed
-killer, when that is another test), or "survived".  It exits 1 if any
-mutant survived.  pytest does not collect this file: its name has no test_ prefix.
+src/, tests/, perfbench/ and pyproject.toml to a temporary directory and
+applies the edit there.  It runs the listed killer alone first, and reports
+"killed" by it if it fails.  Only if the killer passes does it run the
+Tier-1 suite but tests/test_mutants.py with -x, and report "killed" with
+the first failing test and the listed killer, or "survived".  It exits 1 if
+any mutant survived.  pytest does not collect this file: its name has no
+test_ prefix.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class Mutant(NamedTuple):
     old: str
     new: str
     why: str
-    killer: str  # the node id of the first test the runner reports as failing
+    killer: str  # the node id of a deterministic test that fails under the edit
 
 
 MUTANTS = (
@@ -92,7 +95,7 @@ MUTANTS = (
            "ideals.setdefault(ring._rel2, ring)",
            "ideals.setdefault(ring._rel2 & 0b111, ring)",
            "rings grouped by C(q, t) for t < 3 only, a key coarser than the ideal",
-           "tests/test_cli.py::TestExitCodes::test_valid_input_answers_and_invalid_input_is_usage_error"),
+           "tests/test_cli.py::TestVerify::test_search_fault_is_a_mismatch"),
     Mutant("oracle.py",
            "if not is_graded_isomorphism(IDENTITY_SUBSTITUTION, ring, first):",
            "if False:",
@@ -117,7 +120,7 @@ MUTANTS = (
            "for subst in _NONIDENTITY:",
            "for subst in ():",
            "only the identity is tried: every ideal becomes its own class",
-           "tests/test_cli.py::TestExitCodes::test_valid_input_answers_and_invalid_input_is_usage_error"),
+           "tests/test_cli.py::TestVerify::test_small_grid_passes"),
     Mutant("cli.py",
            "if by_oracle != by_criterion:",
            "if False:",
@@ -204,21 +207,43 @@ MUTANTS = (
            "help is wrapped at 80 columns, not 78",
            "tests/test_cli.py::TestReferenceDigests::test_stdout_matches_recorded_digest[--help]"),
     Mutant("cli.py",
-           "given[name] = value",
-           "given.setdefault(name, value)",
+           "given[option] = value",
+           "given.setdefault(option, value)",
            "the first of a repeated option wins, not the last",
+           "tests/test_cli.py::TestSurface::test_replays_recorded_output[classify_--a_5_--a_2_--b_2_--q_0_--q-prime_2]"),
+    Mutant("cli.py",
+           'return self.kind == "int" and self.default is None',
+           'return self.kind == "int"',
+           "an int option with a default counts as required",
+           "tests/test_cli.py::TestSurface::test_replays_recorded_output[verify_--only_a=2]"),
+    Mutant("cli.py",
+           "return self.kind[0] if isinstance(self.kind, tuple) else self.default",
+           "return self.kind[-1] if isinstance(self.kind, tuple) else self.default",
+           "a choice that is not given takes its last value, not its first",
+           "tests/test_cli.py::TestSurface::test_replays_recorded_output[classify_--a_5_--a_2_--b_2_--q_0_--q-prime_2]"),
+    Mutant("cli.py",
+           "return raw is not None",
+           "return True",
+           "a flag that is not given reads True",
+           "tests/test_cli.py::TestSurface::test_replays_recorded_output[classify_--a_5_--a_2_--b_2_--q_0_--q-prime_2]"),
+    Mutant("cli.py",
+           'o.name[2:].replace("-", "_")',
+           "o.name[2:]",
+           "an option's keyword keeps the - of its name",
            "tests/test_cli.py::TestSurface::test_replays_recorded_output[classify_--a_5_--a_2_--b_2_--q_0_--q-prime_2]"),
 )
 
+PYTEST = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider")
 # tests/test_mutants.py is left out: in the copy it reads the mutated source,
 # where old no longer occurs, so it would fail for every mutant.
-TIER_1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-          "--ignore=tests/test_mutants.py")
+TIER_1 = (*PYTEST, "--continue-on-collection-errors", "--ignore=tests/test_mutants.py")
 FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)
+TESTS_FAILED = 1  # pytest's exit code when a collected test failed
 
 
 def run_mutant(mutant: Mutant) -> str | None:
-    """The first test that fails with the mutant applied; None if none does."""
+    """The first test that fails with the mutant applied, the listed killer
+    if it does; None if none does."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         for name in COPIED:
@@ -230,8 +255,14 @@ def run_mutant(mutant: Mutant) -> str | None:
             raise SystemExit(f"{mutant.file}: the old text must occur once: {mutant.old!r}")
         path.write_text(source.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run([sys.executable, *TIER_1], cwd=copy, env=env,
-                              capture_output=True, text=True)
+
+        def pytest(*args: str) -> subprocess.CompletedProcess:
+            return subprocess.run([sys.executable, *args], cwd=copy, env=env,
+                                  capture_output=True, text=True)
+
+        if pytest(*PYTEST, mutant.killer).returncode == TESTS_FAILED:
+            return mutant.killer
+        proc = pytest(*TIER_1)
     if proc.returncode == 0:
         return None
     match = FIRST_FAILURE.search(proc.stdout)
