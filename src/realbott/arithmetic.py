@@ -22,14 +22,11 @@ __all__ = [
     "h_of",
     "k_of",
     "cohomology_criterion",
-    "criterion_classes",
     "diffeo_criterion",
     "rigidity_holds",
     "counterexample_pair",
-    "counterexample_runs",
     "ClassificationVerdict",
     "classify",
-    "criteria_runs",
 ]
 
 

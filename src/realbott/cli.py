@@ -82,15 +82,13 @@ class UsageError(Exception):
 
 
 _TRUTH = ("false", "true")  # indexed by a bool: how json and csv spell it
+_schema_values = attrgetter(*SCHEMA)
 
 
-def _fields(v: ClassificationVerdict) -> tuple:
+def _fields(v: ClassificationVerdict) -> list:
     """A verdict's SCHEMA fields in order, ints as they are and booleans as
     true/false, ready for a %s template."""
-    return (
-        v.a, v.b, v.q, v.q_prime, v.h, v.k,
-        _TRUTH[v.cohomology_isomorphic], _TRUTH[v.diffeomorphic], _TRUTH[v.homotopy_equivalent],
-    )
+    return [_TRUTH[x] if type(x) is bool else x for x in _schema_values(v)]
 
 
 _RECORD_TEMPLATE = "{" + ", ".join(f'"{key}": %s' for key in SCHEMA) + "%s}"
@@ -115,7 +113,7 @@ def _record(v: ClassificationVerdict, fmt: str, columns=(), open_fields=slice(0)
     """v's record in fmt (text in the %-columns given), with the SCHEMA
     fields in open_fields left as %s slots for the records that share every
     other field with v.  A text slot keeps its column's width."""
-    fields, witness = list(_fields(v)), v.oracle_witness
+    fields, witness = _fields(v), v.oracle_witness
     if fmt == "text":
         cells = [c % f for c, f in zip(columns, (*fields, "-" if witness is None else witness))]
         cells[open_fields] = columns[open_fields]

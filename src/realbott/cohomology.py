@@ -32,6 +32,15 @@ from .gf2poly import (
     substitute_linear,
 )
 
+__all__ = [
+    "RingPresentation",
+    "RingElement",
+    "normal_form",
+    "nonvanishing_check",
+    "betti",
+    "total_sw_class",
+]
+
 
 @dataclass(frozen=True)
 class RingPresentation:

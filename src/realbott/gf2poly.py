@@ -13,6 +13,14 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Iterator
 
+__all__ = [
+    "PolyGF2",
+    "substitute_linear",
+    "LinearSubstitution",
+    "IDENTITY_SUBSTITUTION",
+    "COMPLEMENT_SUBSTITUTION",
+]
+
 def sierpinski_row(n: int) -> int:
     """(x+y)^n as a degree-n mask, whose bits are the submasks of n (Lucas).
 

@@ -12,8 +12,9 @@ of a checkout:
     python tests/_mutants.py [INDEX ...]
 
 For each mutant (all, or those whose indices are given) the runner copies
-src/, tests/, perfbench/ and pyproject.toml to a temporary directory and
-applies the edit there.  It runs the listed killer alone first, and reports
+src/, tests/, perfbench/, pyproject.toml and README.md (whose example
+tests/test_readme.py runs) to a temporary directory and applies the edit
+there.  It runs the listed killer alone first, and reports
 "killed" by it if it fails.  Only if the killer passes does it run the
 Tier-1 suite but tests/test_mutants.py with -x, and report "killed" with
 the first failing test and the listed killer, or "survived".  It exits 1 if
@@ -231,6 +232,16 @@ MUTANTS = (
            "o.name[2:]",
            "an option's keyword keeps the - of its name",
            "tests/test_cli.py::TestSurface::test_replays_recorded_output[classify_--a_5_--a_2_--b_2_--q_0_--q-prime_2]"),
+    Mutant("gf2poly.py",
+           '    "LinearSubstitution",\n    "IDENTITY_SUBSTITUTION",\n',
+           '    "LinearSubstitution",\n',
+           "the package stops exporting IDENTITY_SUBSTITUTION",
+           "tests/test_layers.py::test_package_exports_the_23_names"),
+    Mutant("cli.py",
+           "_TRUTH[x] if type(x) is bool else x",
+           "x",
+           "records spell booleans as Python's True/False, not true/false",
+           "tests/test_cli.py::TestSurface::test_replays_recorded_output[classify_--a=2_--b=2_--q=0_--q-prime=2_--format=csv]"),
 )
 
 PYTEST = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider")
@@ -248,7 +259,8 @@ def run_mutant(mutant: Mutant) -> str | None:
         copy = Path(tmp)
         for name in COPIED:
             shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, copy)
         path = copy / "src" / "realbott" / mutant.file
         source = path.read_text()
         if source.count(mutant.old) != 1:

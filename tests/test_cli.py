@@ -679,7 +679,8 @@ class TestEndsCleanly:
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert child.stdout.readline().startswith("a  ")
         child.stdout.close()
-        err = child.stderr.read()
+        with child.stderr:
+            err = child.stderr.read()
         assert child.wait(timeout=60) == cli.CLOSED_PIPE_EXIT, err
         assert err == ""
 
