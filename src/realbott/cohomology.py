@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 
 from .gf2poly import (
     COMPLEMENT_SUBSTITUTION,
+    IDENTITY_SUBSTITUTION,
+    LinearSubstitution,
     PolyGF2,
     clmul,
     linear_power,
-    sierpinski_row,
     substitute_linear,
 )
 
@@ -40,6 +41,17 @@ __all__ = [
     "betti",
     "total_sw_class",
 ]
+
+
+def _cut_power(form: int, n: int, a: int) -> int:
+    """linear_power(form, n) on the bits below a, with no n-bit integer built:
+    x^n is 0 once n >= a, and by Lucas the bits i < a of (x+y)^n are those
+    of (x+y)^(n mod 2^h), 2^h the least power of 2 >= a."""
+    if form == 0b11:
+        n &= (1 << (a - 1).bit_length()) - 1
+    elif form == 0b10 and n >= a:
+        return 0
+    return linear_power(form, n)
 
 
 @dataclass(frozen=True)
@@ -64,14 +76,19 @@ class RingPresentation:
             raise ValueError(f"b must be >= 1, got {self.b}")
         if not 0 <= self.q <= self.b:
             raise ValueError(f"q must satisfy 0 <= q <= b, got q={self.q}, b={self.b}")
-        below_a = (1 << self.a) - 1
-        object.__setattr__(self, "_below_a", below_a)
-        object.__setattr__(self, "_rel2", sierpinski_row(self.q) & below_a)
+        object.__setattr__(self, "_below_a", (1 << self.a) - 1)
+        object.__setattr__(self, "_rel2", self.relation_image(IDENTITY_SUBSTITUTION))
 
     @property
     def top_degree(self) -> int:
         """Largest degree with a nonzero graded piece: a + b - 2."""
         return self.a + self.b - 2
+
+    def relation_image(self, subst: LinearSubstitution) -> int:
+        """The image (L1+L2)^q L2^(b-q) of the second relation under x -> L1,
+        y -> L2, cut below x^a; each factor is cut first, by _cut_power."""
+        return clmul(_cut_power(subst.fx ^ subst.fy, self.q, self.a),
+                     _cut_power(subst.fy, self.b - self.q, self.a)) & self._below_a
 
     def reduce(self, mask: int, d: int) -> int:
         """Normal form of the degree-d piece mask, as a mask on the basis.
@@ -134,7 +151,7 @@ def nonvanishing_check(pres: RingPresentation) -> tuple[bool, bool]:
     fail, which is what makes x recognizable among degree-1 elements.
     """
     a = pres.a
-    return bool(pres.reduce(1, a)), bool(pres.reduce(sierpinski_row(a), a))
+    return bool(pres.reduce(1, a)), bool(pres.reduce(linear_power(0b11, a), a))
 
 
 def betti(pres: RingPresentation, d: int) -> int:

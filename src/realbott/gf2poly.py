@@ -21,19 +21,6 @@ __all__ = [
     "COMPLEMENT_SUBSTITUTION",
 ]
 
-def sierpinski_row(n: int) -> int:
-    """(x+y)^n as a degree-n mask, whose bits are the submasks of n (Lucas).
-
-    The product over the bits e of n of (1 + 2^e) sums 2^s over each
-    submask s exactly once, so ordinary multiplication never carries.
-    """
-    row = 1
-    while n:
-        low = n & -n
-        row *= 1 | 1 << low
-        n ^= low
-    return row
-
 
 def clmul(u: int, v: int) -> int:
     """Carry-less product of two masks: the product of homogeneous pieces."""
@@ -48,9 +35,18 @@ def clmul(u: int, v: int) -> int:
 
 
 def linear_power(form: int, n: int) -> int:
-    """(cx*x + cy*y)^n as a degree-n mask, for the form mask cx << 1 | cy."""
+    """(cx*x + cy*y)^n as a degree-n mask, for the form mask cx << 1 | cy.
+
+    The bits of (x+y)^n are the submasks of n (Lucas): the product over the
+    bits e of n of (1 + 2^e) sums 2^s over each submask s exactly once, so
+    ordinary multiplication never carries."""
     if form == 0b11:
-        return sierpinski_row(n)
+        row = 1
+        while n:
+            low = n & -n
+            row *= 1 | 1 << low
+            n ^= low
+        return row
     if form == 0b10:
         return 1 << n
     if form == 0b01:

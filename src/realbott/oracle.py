@@ -17,9 +17,9 @@ test.  When a, b >= 2 that rank is 2, so only the six substitutions in
 GL2(F2) can pass, and only they are searched.  On the rows a = 1 and b = 1 a
 singular substitution can be an isomorphism, and all 16 are searched.
 
-Lemma (ideals).  RingPresentation._rel2 is the second relation
-(x+y)^q y^(b-q) cut to the x-exponents below a, which differs from it by a
-multiple of x^a.  So rings of one (a, b) cell with equal _rel2 have the
+Lemma (ideals).  RingPresentation._rel2, the identity's relation_image, is
+(x+y)^q y^(b-q) cut to the x-exponents below a, which differs from it by
+a multiple of x^a.  So rings of one (a, b) cell with equal _rel2 have the
 same ideal, and the identity is an isomorphism between them.
 
 Lemma (images).  Let I_q = (x^a, r_q), r_q = (x+y)^q y^(b-q).  An
@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .cohomology import RingPresentation, betti
-from .gf2poly import IDENTITY_SUBSTITUTION, LinearSubstitution, clmul, linear_power
+from .gf2poly import IDENTITY_SUBSTITUTION, LinearSubstitution, linear_power
 
 __all__ = [
     "cell_classes",
@@ -67,14 +67,6 @@ _INVERTIBLE = tuple(subst for subst in _SUBSTITUTIONS if _rank(subst.fx, subst.f
 _NONIDENTITY = tuple(subst for subst in _INVERTIBLE if subst != IDENTITY_SUBSTITUTION)
 
 
-def _check_same_shape(src: RingPresentation, dst: RingPresentation) -> None:
-    if (src.a, src.b) != (dst.a, dst.b):
-        raise ValueError(
-            f"comparison requires equal (a, b): got ({src.a}, {src.b}) "
-            f"vs ({dst.a}, {dst.b})"
-        )
-
-
 def induces_homomorphism(
     subst: LinearSubstitution, src: RingPresentation, dst: RingPresentation
 ) -> bool:
@@ -83,12 +75,12 @@ def induces_homomorphism(
     With x -> L1 and y -> L2 the relations x^a and (x+y)^q y^(b-q) map to
     L1^a and (L1+L2)^q L2^(b-q), homogeneous of degrees a and b.
     """
-    _check_same_shape(src, dst)
-    fx, fy = subst.fx, subst.fy
-    if dst.reduce(linear_power(fx, src.a), src.a):
+    if (src.a, src.b) != (dst.a, dst.b):
+        raise ValueError(f"comparison requires equal (a, b): got ({src.a}, {src.b}) "
+                         f"vs ({dst.a}, {dst.b})")
+    if dst.reduce(linear_power(subst.fx, src.a), src.a):
         return False
-    image = clmul(linear_power(fx ^ fy, src.q), linear_power(fy, src.b - src.q))
-    return not dst.reduce(image, src.b)
+    return not dst.reduce(src.relation_image(subst), src.b)
 
 
 def is_graded_isomorphism(
@@ -115,7 +107,6 @@ def rings_isomorphic_bruteforce(
     isomorphism, or None if there is none.  When betti(dst, 1) == 2 only
     the six invertible ones are tried: by the degree-1 lemma the other ten
     fail the rank check, so the first witness is that of all 16."""
-    _check_same_shape(src, dst)
     for subst in _SUBSTITUTIONS if betti(dst, 1) < 2 else _INVERTIBLE:
         if is_graded_isomorphism(subst, src, dst):
             return subst
@@ -141,9 +132,7 @@ def cell_classes(a: int, b: int) -> list[int]:
     for key, ring in ideals.items():
         landings = [ring.q]  # the identity's, checked above
         for subst in _NONIDENTITY:
-            image = clmul(linear_power(subst.fx ^ subst.fy, ring.q),
-                          linear_power(subst.fy, b - ring.q))
-            target = ideals.get(image & ring._below_a)
+            target = ideals.get(ring.relation_image(subst))
             if target is not None and is_graded_isomorphism(subst, ring, target):
                 landings.append(target.q)
         least[key] = min(landings)

@@ -112,11 +112,11 @@ MUTANTS = (
            "if target is not None:",
            "a landing joins the class without a check",
            "tests/test_cli.py::TestVerify::test_search_fault_is_a_mismatch"),
-    Mutant("oracle.py",
-           "ideals.get(image & ring._below_a)",
-           "ideals.get(image)",
+    Mutant("cohomology.py",
+           "_cut_power(subst.fy, self.b - self.q, self.a)) & self._below_a",
+           "_cut_power(subst.fy, self.b - self.q, self.a))",
            "the image of the second relation is not cut below x^a",
-           "tests/test_cli.py::TestVerify::test_small_grid_passes"),
+           "tests/test_cohomology.py::TestRelationImage::test_matches_reference_expansion[2]"),
     Mutant("oracle.py",
            "for subst in _NONIDENTITY:",
            "for subst in ():",
@@ -242,6 +242,21 @@ MUTANTS = (
            "x",
            "records spell booleans as Python's True/False, not true/false",
            "tests/test_cli.py::TestSurface::test_replays_recorded_output[classify_--a=2_--b=2_--q=0_--q-prime=2_--format=csv]"),
+    Mutant("cohomology.py",
+           "n &= (1 << (a - 1).bit_length()) - 1",
+           "n &= (1 << (a - 1).bit_length() - 1) - 1",
+           "the Lucas mask of the (x+y) power is one bit short",
+           "tests/test_acceptance.py::test_criterion_1_oracle_matches_congruence_criterion"),
+    Mutant("cohomology.py",
+           "    elif form == 0b10 and n >= a:\n        return 0\n",
+           "",
+           "x^n is built in full, not cut to 0 once n >= a",
+           "tests/test_cli.py::TestClassify::test_huge_x_power_is_cut_in_bounded_memory"),
+    Mutant("cli.py",
+           "import os\nimport sys\n",
+           "import json\nimport os\nimport sys\n",
+           "json is imported at start-up, not where a witness or sw needs it",
+           "tests/test_cli.py::test_start_up_does_not_import_click"),
 )
 
 PYTEST = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider")

@@ -89,6 +89,25 @@ def records_of(output: str) -> list[dict]:
     return [json.loads(line) for line in output.splitlines() if line]
 
 
+CLI_MAIN = "from realbott.cli import main\nmain(sys.argv[1:])\n"
+
+
+def bounded_child(code: str, *argv: str) -> tuple[subprocess.CompletedProcess, float]:
+    """Run code with argv in a child process that imports this checkout's
+    src/, under an address-space limit of 512 MB, and time it.  The limit
+    makes a regression that builds a huge integer fail fast in the child
+    instead of exhausting the host's memory."""
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n" + code)
+    src = str(Path(arithmetic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-c", script, *argv],
+                            env=env, capture_output=True, text=True, timeout=60)
+    return result, time.perf_counter() - start
+
+
 class TestClassify:
     def test_headline_pair_jsonl(self, runner):
         result = runner.invoke(
@@ -261,28 +280,43 @@ class TestClassify:
         assert record["witness"] == "x->x, y->x+y"
 
     def test_huge_a_answers_in_bounded_memory(self):
-        # 2^k(a) has about a/2 bits; the criterion must never build it.  The
-        # address-space limit makes a regression fail fast in the child
-        # instead of exhausting the host's memory.
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
-            "from realbott.cli import main\n"
-            "main(sys.argv[1:])\n"
-        )
-        argv = ["classify", "--a", str(10**12), "--b", "3", "--q", "0", "--q-prime", "1",
-                "--format", "jsonl"]
-        src = str(Path(arithmetic.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        start = time.perf_counter()
-        result = subprocess.run([sys.executable, "-c", script, *argv],
-                                env=env, capture_output=True, text=True, timeout=60)
-        elapsed = time.perf_counter() - start
+        # 2^k(a) has about a/2 bits; the criterion must never build it
+        result, elapsed = bounded_child(CLI_MAIN, "classify", "--a", str(10**12), "--b", "3",
+                                        "--q", "0", "--q-prime", "1", "--format", "jsonl")
         assert result.returncode == 0, result.stderr
         (record,) = records_of(result.stdout)
         assert record["k"] == arithmetic.k_of(10**12) and record["h"] == 40
         assert not record["cohomology_isomorphic"] and not record["diffeomorphic"]
+        assert elapsed < 2, elapsed
+
+    @pytest.mark.parametrize("a, b, q, q_prime, witness", [
+        (3, 2**40 + 2, 2**40 + 1, 1, "x->x, y->y"),
+        (10, 10**18, 10**18 - 17, 17, "x->x, y->x+y"),
+    ], ids=["a3-q2e40", "a10-b1e18"])
+    def test_huge_q_oracle_answers_in_bounded_memory(self, a, b, q, q_prime, witness):
+        # the image of the second relation is cut below x^a factor by
+        # factor, so the oracle builds no q- or b-bit integer
+        result, elapsed = bounded_child(CLI_MAIN, "classify", "--a", str(a), "--b", str(b),
+                                        "--q", str(q), "--q-prime", str(q_prime), "--oracle",
+                                        "--format", "jsonl")
+        assert result.returncode == 0, result.stderr
+        (record,) = records_of(result.stdout)
+        assert record["cohomology_isomorphic"] and record["witness"] == witness
+        assert elapsed < 2, elapsed
+
+    def test_huge_x_power_is_cut_in_bounded_memory(self):
+        # x -> x, y -> 0 sends the second relation to x^q 0^(b-q).  A search
+        # ends before it reaches such a substitution (its x^a check or an
+        # earlier witness ends it), so only a direct call shows that x^q is
+        # cut, not built
+        code = ("from realbott.cohomology import RingPresentation\n"
+                "from realbott.gf2poly import LinearSubstitution\n"
+                "from realbott.oracle import induces_homomorphism\n"
+                "ring = RingPresentation(3, 2**40 + 2, 2**40 + 1)\n"
+                "print(induces_homomorphism(LinearSubstitution(0b10, 0b00), ring, ring))\n")
+        result, elapsed = bounded_child(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "True\n"
         assert elapsed < 2, elapsed
 
     def test_out_writes_file(self, runner, tmp_path):
@@ -622,22 +656,39 @@ class TestExitCodes:
             assert "Usage:" in result.stderr
 
 
+# imported by none of the runs below, but --help needs textwrap: click is
+# gone, and cli imports the others only where a witness, sw, help text, a
+# suggestion or a fault needs them
+NOT_AT_START_UP = ("click", "json", "textwrap", "difflib", "traceback")
+
+
 def test_start_up_does_not_import_click():
-    # click took about 20 ms and 2 MB of every start-up; nothing may bring it back
+    # click took about 20 ms and 2 MB of every start-up; nothing may bring it
+    # back, nor any of the other modules, into these runs
     script = ("import sys\n"
+              "before = set(sys.modules)\n"
               "from realbott import cli\n"
               "try:\n"
-              "    cli.main(args=['--help'], prog_name='realbott')\n"
+              "    cli.main(args=sys.argv[1:], prog_name='realbott')\n"
               "finally:\n"
-              "    print(sorted(name for name in sys.modules if name.split('.')[0] == 'click'),\n"
-              "          file=sys.stderr)\n")
+              "    print(*sorted(name for name in set(sys.modules) - before\n"
+              f"                  if name.split('.')[0] in {NOT_AT_START_UP!r}), file=sys.stderr)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                            timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("Usage: realbott [OPTIONS] COMMAND [ARGS]...")
-    assert result.stderr == "[]\n"
+    for argv in (["--help"],
+                 ["verify", "--a-max", "8", "--b-max", "11"],
+                 ["verify", "--only", "a=10,b=17", "--extended"],
+                 ["table", "--a", "10", "--b", "17", "--format", "jsonl"],
+                 ["counterexamples", "--a-max", "12", "--b-max", "20"]):
+        result = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, (argv, result.stderr)
+        added = result.stderr.split()
+        if argv == ["--help"]:
+            assert result.stdout.startswith("Usage: realbott [OPTIONS] COMMAND [ARGS]...")
+            assert "click" not in added
+        else:
+            assert added == [], argv
 
 
 def cli_child(argv: list[str], **popen) -> subprocess.Popen:

@@ -22,9 +22,12 @@ from _oracles import (
     basis,
     dense_rank_gf2,
     ideal_degree_slice,
+    images,
     in_row_span_gf2,
     monomial_vector,
     relation_polys,
+    substitute_terms,
+    substitutions,
 )
 
 
@@ -92,6 +95,22 @@ class TestRelationPolys:
         y = mono(0, 1)
         _, rel2 = relation_polys(pres)
         assert rel2 == x_plus_y ** pres.q * y ** (pres.b - pres.q)
+
+
+class TestRelationImage:
+    @pytest.mark.parametrize("a", range(1, 11))
+    def test_matches_reference_expansion(self, a):
+        # the image of (x+y)^q y^(b-q) under each of the 16 substitutions,
+        # expanded monomial by monomial and cut below x^a; b reaches past
+        # 2^h(a) for every a, so the Lucas cut of the (x+y) power is exercised
+        for b in range(1, 19):
+            for q in range(b + 1):
+                pres = RingPresentation(a, b, q)
+                rel2 = relation_polys(pres)[1].terms
+                for subst in substitutions():
+                    image = substitute_terms(rel2, *images(subst))
+                    cut = sum(1 << i for i, _ in image if i < a)
+                    assert pres.relation_image(subst) == cut, (pres, subst)
 
 
 class TestNormalForm:

@@ -7,7 +7,7 @@ from realbott.gf2poly import (
     IDENTITY_SUBSTITUTION,
     LinearSubstitution,
     PolyGF2,
-    sierpinski_row,
+    linear_power,
     substitute_linear,
 )
 
@@ -151,10 +151,10 @@ class TestBinomMod2:
                 assert binom_mod2(n, m) == rows[n][m], (n, m)
 
 
-def test_sierpinski_row_matches_pascal_recurrence():
+def test_power_of_x_plus_y_matches_pascal_recurrence():
     rows = pascal_mod2_rows(300)
     for n, row in enumerate(rows):
-        assert sierpinski_row(n) == sum(bit << i for i, bit in enumerate(row)), n
+        assert linear_power(0b11, n) == sum(bit << i for i, bit in enumerate(row)), n
 
 
 class TestSubstitution:
