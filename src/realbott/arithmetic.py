@@ -12,7 +12,6 @@ cap on a is needed and nothing can silently wrap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # the witness's type only: arithmetic needs no ring code to run
@@ -152,19 +151,28 @@ def counterexample_pair(a: int, b: int) -> Optional[tuple[int, int]]:
     return pair
 
 
-@dataclass(slots=True)
 class ClassificationVerdict:
     """Everything the theorems say about one pair (q, q') for fixed (a, b)."""
 
-    a: int
-    b: int
-    q: int
-    q_prime: int
-    h: int
-    k: int
-    cohomology_isomorphic: bool
-    diffeomorphic: bool
-    oracle_witness: Optional[LinearSubstitution] = None
+    __slots__ = ("a", "b", "q", "q_prime", "h", "k", "cohomology_isomorphic", "diffeomorphic",
+                 "oracle_witness")
+
+    def __init__(self, a: int, b: int, q: int, q_prime: int, h: int, k: int,
+                 cohomology_isomorphic: bool, diffeomorphic: bool,
+                 oracle_witness: Optional[LinearSubstitution] = None):
+        self.a, self.b, self.q, self.q_prime, self.h, self.k = a, b, q, q_prime, h, k
+        self.cohomology_isomorphic, self.diffeomorphic = cohomology_isomorphic, diffeomorphic
+        self.oracle_witness = oracle_witness
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"ClassificationVerdict({fields})"
 
     def __post_init__(self):
         # an inconsistent verdict is a fault of the criteria, not bad input

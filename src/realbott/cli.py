@@ -295,8 +295,6 @@ def verify(a_max, b_max, only, extended, out) -> None:
         cases += (b + 1) ** 2
         mismatches += cell_mismatches
         out.write(f"a={a} b={b}: {(b + 1) ** 2} pairs, {cell_mismatches} mismatches\n")
-    if not cases:
-        raise UsageError("no (a, b, q, q') pair to check")
     if extended:
         out.write(_extended_sweeps())
     elapsed = time.perf_counter() - start
@@ -478,12 +476,12 @@ def _suggestion(word: str, names) -> str:
 
 
 def _fill(text: str, width: int, first: str = "", rest: str = "") -> str:
-    """text wrapped to width, each blank-line-separated paragraph on its own."""
+    """text wrapped to width, each blank-line-separated paragraph on its own, lines unindented."""
     from textwrap import TextWrapper
 
     wrapper = TextWrapper(width, initial_indent=first, subsequent_indent=rest,
                           replace_whitespace=False)
-    return "\n\n".join(wrapper.fill(paragraph.replace("\n", " "))
+    return "\n\n".join(wrapper.fill(" ".join(map(str.strip, paragraph.split("\n"))))
                         for paragraph in text.split("\n\n"))
 
 
@@ -513,11 +511,9 @@ def _summary(doc: str, limit: int) -> str:
 
 def _help(path: str, command: str | None) -> str:
     """The help screen of a command, or of the program when command is None."""
-    from inspect import cleandoc
-
     function, options = COMMANDS[command] if command else (None, ())
     lines = [_usage(path, command), "",
-             _fill(cleandoc(function.__doc__ if command else PROGRAM_HELP), HELP_WIDTH, "  ", "  "),
+             _fill((function.__doc__ if command else PROGRAM_HELP).strip(), HELP_WIDTH, "  ", "  "),
              "", "Options:", *_definitions([option.help_row() for option in (*options, HELP)])]
     if not command:
         limit = HELP_WIDTH - 6 - max(map(len, COMMANDS))

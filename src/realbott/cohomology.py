@@ -21,16 +21,15 @@ linear-algebra reduction of the ideal is verified in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .gf2poly import (
-    COMPLEMENT_SUBSTITUTION,
     IDENTITY_SUBSTITUTION,
     LinearSubstitution,
     PolyGF2,
+    _bits,
+    _Record,
+    _trimmed,
     clmul,
     linear_power,
-    substitute_linear,
 )
 
 __all__ = [
@@ -54,30 +53,30 @@ def _cut_power(form: int, n: int, a: int) -> int:
     return linear_power(form, n)
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(_Record):
     """The triple (a, b, q) naming Z/2[x,y]/(x^a, (x+y)^q y^(b-q)).
 
     a, b >= 1 and 0 <= q <= b; q is kept exactly as given (no automatic
     replacement by b - q, the classifier wants the raw value).
     """
 
-    a: int
-    b: int
-    q: int
-    # masks of the x-exponents below a, and of the second relation cut to them
-    _below_a: int = field(init=False, repr=False, compare=False)
-    _rel2: int = field(init=False, repr=False, compare=False)
+    # (a, b, q), then the masks of the x-exponents below a and of the second relation cut to them
+    __slots__ = ("a", "b", "q", "_below_a", "_rel2")
+    _fields = ("a", "b", "q")
 
-    def __post_init__(self):
-        if self.a < 1:
-            raise ValueError(f"a must be >= 1, got {self.a}")
-        if self.b < 1:
-            raise ValueError(f"b must be >= 1, got {self.b}")
-        if not 0 <= self.q <= self.b:
-            raise ValueError(f"q must satisfy 0 <= q <= b, got q={self.q}, b={self.b}")
-        object.__setattr__(self, "_below_a", (1 << self.a) - 1)
-        object.__setattr__(self, "_rel2", self.relation_image(IDENTITY_SUBSTITUTION))
+    def __init__(self, a: int, b: int, q: int):
+        if a < 1:
+            raise ValueError(f"a must be >= 1, got {a}")
+        if b < 1:
+            raise ValueError(f"b must be >= 1, got {b}")
+        if not 0 <= q <= b:
+            raise ValueError(f"q must satisfy 0 <= q <= b, got q={q}, b={b}")
+        setter = object.__setattr__
+        setter(self, "a", a)
+        setter(self, "b", b)
+        setter(self, "q", q)
+        setter(self, "_below_a", (1 << a) - 1)
+        setter(self, "_rel2", self.relation_image(IDENTITY_SUBSTITUTION))
 
     @property
     def top_degree(self) -> int:
@@ -97,6 +96,8 @@ class RingPresentation:
         relation shifted by i, which sets only higher bits, so one ascending
         pass suffices; bits >= a need no R2, since R1 drops them.
         """
+        if d < self.b:
+            return mask & self._below_a
         last = min(d - self.b, self.a - 1)
         mask &= self._below_a
         while mask:
@@ -107,20 +108,20 @@ class RingPresentation:
         return mask & self._below_a
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(_Record):
     """A ring element in normal form: masks[d] is its reduced degree-d piece,
     on the basis bits of pres.reduce, with trailing zero pieces trimmed."""
 
-    pres: RingPresentation
-    masks: tuple[int, ...]
+    __slots__ = _fields = ("pres", "masks")
 
-    def __post_init__(self):
-        if self.masks and not self.masks[-1]:
-            raise ValueError(f"untrimmed pieces {self.masks}")
-        for d, mask in enumerate(self.masks):
-            if mask >> d + 1 or self.pres.reduce(mask, d) != mask:
-                raise ValueError(f"degree-{d} piece {mask:#b} not in normal form for {self.pres}")
+    def __init__(self, pres: RingPresentation, masks: tuple[int, ...]):
+        object.__setattr__(self, "pres", pres)
+        object.__setattr__(self, "masks", masks)
+        if masks and not masks[-1]:
+            raise ValueError(f"untrimmed pieces {masks}")
+        for d, mask in enumerate(masks):
+            if mask >> d + 1 or pres.reduce(mask, d) != mask:
+                raise ValueError(f"degree-{d} piece {mask:#b} not in normal form for {pres}")
 
     @property
     def coeffs(self) -> frozenset[tuple[int, int]]:
@@ -140,8 +141,7 @@ class RingElement:
 
 def normal_form(p: PolyGF2, pres: RingPresentation) -> RingElement:
     """Reduce a polynomial to the unique representative on the basis."""
-    reduced = PolyGF2.from_masks(pres.reduce(mask, d) for d, mask in enumerate(p.masks))
-    return RingElement(pres, reduced.masks)
+    return RingElement(pres, _trimmed([pres.reduce(mask, d) for d, mask in enumerate(p.masks)]))
 
 
 def nonvanishing_check(pres: RingPresentation) -> tuple[bool, bool]:
@@ -171,18 +171,19 @@ def total_sw_class(pres: RingPresentation) -> RingElement:
     with w1 = y, and a base contribution (1+x)^a.  Cross-validated by the
     swap symmetry q <-> b - q in the test suite.
     """
-    top = pres.top_degree
-    pieces = [1] + [0] * top  # bits >= a and degrees > top vanish in the ring
-    # the forms x, y and x+y as masks, each with its exponent
-    for form, n in ((0b10, pres.a), (0b01, pres.b - pres.q), (0b11, pres.q)):
-        # (1 + L)^n is the product of 1 + L^e over the powers of two e in n
-        e = 1
-        while e <= min(n, top):
-            if n & e:
-                power = linear_power(form, e)
-                for d in range(top, e - 1, -1):
-                    pieces[d] ^= clmul(pieces[d - e], power) & pres._below_a
-            e <<= 1
+    top, below_a, m = pres.top_degree, pres._below_a, pres.b - pres.q
+    # bits >= a and degrees > top vanish.  (1+x)^a (1+y)^m has the degree-d piece
+    # sum C(a, i) C(m, d-i) x^i; C(n, j) is bit j of linear_power(0b11, n), which
+    # reads the same backwards (C(n, j) = C(n, n-j)), so C(m, d-i) is bit i of row_m << d >> m
+    row_a, row_m = linear_power(0b11, pres.a) & below_a, linear_power(0b11, m)
+    pieces = [row_a & row_m << d >> m for d in range(top + 1)]
+    # (1+x+y)^q is the product of 1 + x^e + y^e over the powers of two e in q
+    q, e = pres.q, 1
+    while e <= min(q, top):
+        if q & e:
+            for d in range(top, e - 1, -1):
+                pieces[d] ^= pieces[d - e] << e & below_a ^ pieces[d - e]
+        e <<= 1
     return normal_form(PolyGF2.from_masks(pieces), pres)
 
 
@@ -202,16 +203,27 @@ def sw_swap_failures(a_max: int, b_max: int) -> list[tuple[int, int, int]]:
     """The (a, b, q) with a <= a_max, b <= b_max and 0 <= q <= b at which the
     complement substitution y -> x + y does not carry w(M(q)) to w(M(b - q)).
 
-    Each total_sw_class is computed once and compared twice, as source and
-    as target.
+    Each total_sw_class is computed once.  The substitution is its own inverse
+    and carries the ideal of M(q) onto that of M(b - q), so q and b - q pass or
+    fail together, and only q <= b / 2 is checked, on the pieces.
     """
     bad = []
     for a in range(1, a_max + 1):
         for b in range(1, b_max + 1):
             classes = [total_sw_class(RingPresentation(a, b, q)) for q in range(b + 1)]
-            for q, cls in enumerate(classes):
-                swapped = classes[b - q]
-                carried = substitute_linear(cls.lift(), COMPLEMENT_SUBSTITUTION)
-                if normal_form(carried, swapped.pres) != swapped:
-                    bad.append((a, b, q))
+            fails = [_complement_image(cls.masks, swapped.pres) != swapped.masks
+                     for cls, swapped in zip(classes[:b // 2 + 1], reversed(classes))]
+            bad += [(a, b, q) for q in range(b + 1) if fails[min(q, b - q)]]
     return bad
+
+
+def _complement_image(masks: tuple[int, ...], pres: RingPresentation) -> tuple[int, ...]:
+    """The pieces of the image under y -> x + y of the normal-form element with
+    these pieces, reduced in pres, untrimmed: x^i y^(d-i) goes to x^i (x+y)^(d-i)."""
+    image = []
+    for d, mask in enumerate(masks):
+        piece = 0
+        for i in _bits(mask):
+            piece ^= linear_power(0b11, d - i) << i
+        image.append(pres.reduce(piece, d))
+    return tuple(image)

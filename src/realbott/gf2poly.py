@@ -9,7 +9,6 @@ arithmetic is exact; Python's arbitrary-precision integers cannot overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Iterator
 
@@ -61,14 +60,45 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True, init=False)
-class PolyGF2:
+def _trimmed(masks: list[int]) -> tuple[int, ...]:
+    """The pieces, trailing zero pieces dropped (from the list too), as a tuple."""
+    while masks and not masks[-1]:
+        masks.pop()
+    return tuple(masks)
+
+
+class _Record:
+    """A frozen record: __init__ sets its slots once, by object.__setattr__;
+    its repr shows the slots named in _fields, and == and hash compare them."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class PolyGF2(_Record):
     """Polynomial over GF(2) in x, y, built from its (i, j) exponent pairs.
 
     masks[d] is the degree-d piece; trailing zero pieces are trimmed.
     """
 
-    masks: tuple[int, ...]
+    __slots__ = _fields = ("masks",)
 
     def __init__(self, terms: Iterable[tuple[int, int]] = ()):
         masks: list[int] = []
@@ -81,11 +111,8 @@ class PolyGF2:
 
     @classmethod
     def from_masks(cls, masks: Iterable[int]) -> "PolyGF2":
-        masks = list(masks)
-        while masks and not masks[-1]:
-            masks.pop()
         poly = cls.__new__(cls)
-        object.__setattr__(poly, "masks", tuple(masks))
+        object.__setattr__(poly, "masks", _trimmed(list(masks)))
         return poly
 
     @property
@@ -94,9 +121,6 @@ class PolyGF2:
         return frozenset(
             (i, d - i) for d, mask in enumerate(self.masks) for i in _bits(mask)
         )
-
-    def __bool__(self) -> bool:
-        return bool(self.masks)
 
     def __add__(self, other: "PolyGF2") -> "PolyGF2":
         return PolyGF2.from_masks(
@@ -141,20 +165,20 @@ class PolyGF2:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class LinearSubstitution:
+class LinearSubstitution(_Record):
     """Images of the degree-1 generators as form masks cx << 1 | cy.
 
     fx sends x to cx*x + cy*y, and likewise fy sends y: 0, y, x and x+y are
     0b00, 0b01, 0b10 and 0b11, so there are 16 substitutions in total.
     """
 
-    fx: int
-    fy: int
+    __slots__ = _fields = ("fx", "fy")
 
-    def __post_init__(self):
-        if self.fx not in range(4) or self.fy not in range(4):
+    def __init__(self, fx: int, fy: int):
+        if fx not in range(4) or fy not in range(4):
             raise ValueError("substitution images must be form masks in 0..3")
+        object.__setattr__(self, "fx", fx)
+        object.__setattr__(self, "fy", fy)
 
     def __str__(self) -> str:
         return f"x->{_FORM_NAMES[self.fx]}, y->{_FORM_NAMES[self.fy]}"

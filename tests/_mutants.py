@@ -73,9 +73,9 @@ MUTANTS = (
            "a substitution of degree-1 rank 1 passes as an isomorphism",
            "tests/test_acceptance.py::test_criterion_1_oracle_matches_congruence_criterion"),
     Mutant("cohomology.py",
-           "((0b10, pres.a), (0b01, pres.b - pres.q), (0b11, pres.q))",
-           "((0b10, pres.a), (0b01, pres.q), (0b11, pres.b - pres.q))",
-           "the Stiefel-Whitney exponents of y and x + y swapped",
+           "top, below_a, m = pres.top_degree, pres._below_a, pres.b - pres.q",
+           "top, below_a, m = pres.top_degree, pres._below_a, pres.q",
+           "the Stiefel-Whitney factor 1 + y gets the exponent q, not b - q",
            "tests/test_cohomology.py::TestTotalSWClass::test_frozen_examples[4-5-3-expected6]"),
     Mutant("arithmetic.py",
            "return math.inf if a <= 9 else cohomology_modulus",
@@ -83,8 +83,8 @@ MUTANTS = (
            "rigidity claimed at a = 10, where h(10) = 4 < k(10) = 5",
            "tests/test_acceptance.py::test_criterion_6_rigidity_dichotomy"),
     Mutant("cohomology.py",
-           "if mask >> d + 1 or self.pres.reduce(mask, d) != mask:",
-           "if self.pres.reduce(mask, d) != mask:",
+           "if mask >> d + 1 or pres.reduce(mask, d) != mask:",
+           "if pres.reduce(mask, d) != mask:",
            "RingElement accepts a bit above its degree, a negative y-exponent",
            "tests/test_cohomology.py::TestElementArithmetic::test_pieces_not_in_normal_form_rejected[above-degree]"),
     Mutant("oracle.py",
@@ -153,8 +153,8 @@ MUTANTS = (
            "witnesses spell the form masks of x and y swapped",
            "tests/test_cli.py::TestClassify::test_large_a_oracle_has_no_recursion_limit[a700-b10]"),
     Mutant("gf2poly.py",
-           "if self.fx not in range(4) or self.fy not in range(4):",
-           "if self.fx not in range(0b1000) or self.fy not in range(0b1000):",
+           "if fx not in range(4) or fy not in range(4):",
+           "if fx not in range(0b1000) or fy not in range(0b1000):",
            "LinearSubstitution accepts form masks up to 0b111",
            "tests/test_gf2poly.py::TestSubstitution::test_non_bit_coefficients_rejected"),
     Mutant("oracle.py",
@@ -257,6 +257,56 @@ MUTANTS = (
            "import json\nimport os\nimport sys\n",
            "json is imported at start-up, not where a witness or sw needs it",
            "tests/test_cli.py::test_start_up_does_not_import_click"),
+    Mutant("cohomology.py",
+           "piece ^= linear_power(0b11, d - i) << i",
+           "piece ^= linear_power(0b11, i) << i",
+           "the sweep's complement image of x^i y^(d-i) is x^i (x+y)^i, not x^i (x+y)^(d-i)",
+           "tests/test_cohomology.py::TestTotalSWClass::test_complement_image_matches_polynomial_route[2]"),
+    Mutant("gf2poly.py",
+           "    while masks and not masks[-1]:\n        masks.pop()\n",
+           "",
+           "trailing zero pieces are not trimmed",
+           "tests/test_records.py::test_equal_records_are_equal_and_hash_alike[PolyGF2]"),
+    Mutant("cohomology.py",
+           '_fields = ("a", "b", "q")',
+           '_fields = ("a", "b")',
+           "RingPresentation's == and hash ignore q",
+           "tests/test_records.py::test_equal_records_are_equal_and_hash_alike[RingPresentation]"),
+    Mutant("arithmetic.py",
+           "        self.__post_init__()\n",
+           "",
+           "a ClassificationVerdict is not checked on construction",
+           "tests/test_arithmetic.py::TestClassify::test_verdict_consistency_enforced"),
+    Mutant("gf2poly.py",
+           'raise AttributeError(f"cannot assign to field {name!r}")',
+           "object.__setattr__(self, name, *value)",
+           "a record's fields can be assigned after construction",
+           "tests/test_records.py::test_fields_cannot_be_assigned_or_deleted[RingPresentation]"),
+    Mutant("cohomology.py",
+           "if d < self.b:",
+           "if d <= self.b:",
+           "reduce leaves degree b unrewritten, where y^b is rewritten first",
+           "tests/test_acceptance.py::test_criterion_1_oracle_matches_congruence_criterion"),
+    Mutant("cohomology.py",
+           "pieces[d] ^= pieces[d - e] << e & below_a ^ pieces[d - e]",
+           "pieces[d] ^= pieces[d - e] << e & below_a",
+           "the Stiefel-Whitney factors 1 + x^e + y^e lose their y^e",
+           "tests/test_cohomology.py::TestTotalSWClass::test_frozen_examples[4-5-3-expected6]"),
+    Mutant("cli.py",
+           '" ".join(map(str.strip, paragraph.split("\\n")))',
+           'paragraph.replace("\\n", " ")',
+           "help keeps each docstring line's indentation",
+           "tests/test_cli.py::TestReferenceDigests::test_stdout_matches_recorded_digest[--help]"),
+    Mutant("cohomology.py",
+           "pieces = [row_a & row_m << d >> m for d in range(top + 1)]",
+           "pieces = [row_a & row_m >> d for d in range(top + 1)]",
+           "the row of (1+y)^(b-q) read forwards: C(m, i + d) where C(m, d - i) belongs",
+           "tests/test_cohomology.py::TestTotalSWClass::test_frozen_examples[3-3-1-expected7]"),
+    Mutant("cohomology.py",
+           "bad += [(a, b, q) for q in range(b + 1) if fails[min(q, b - q)]]",
+           "bad += [(a, b, q) for q in range(len(fails)) if fails[q]]",
+           "the sweep reports only the q <= b/2 side of a failing pair",
+           "tests/test_cohomology.py::TestTotalSWClass::test_swap_failures_sweep_reports_each_failure"),
 )
 
 PYTEST = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider")

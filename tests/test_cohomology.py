@@ -378,6 +378,17 @@ class TestTotalSWClass:
                 [(0, 0)]
             )
 
+    @pytest.mark.parametrize("a", range(1, 11))
+    def test_matches_the_product_of_the_bundle_factors(self, a):
+        # the reference: (1+x)^a (1+y)^(b-q) (1+x+y)^q multiplied out by
+        # PolyGF2's own product and power, then reduced
+        one, x, y = mono(0, 0), mono(1, 0), mono(0, 1)
+        for b in range(1, 11):
+            for q in range(b + 1):
+                pres = RingPresentation(a, b, q)
+                bundle = (one + x) ** a * (one + y) ** (b - q) * (one + x + y) ** q
+                assert total_sw_class(pres) == normal_form(bundle, pres), (a, b, q)
+
     def test_swap_symmetry_sweep(self):
         # x -> x, y -> x+y carries the class of (a,b,q) to that of (a,b,b-q)
         for a in range(1, 9):
@@ -410,6 +421,22 @@ class TestTotalSWClass:
                     carried = normal_form(substitute_linear(classes[src.q].lift(), witness), dst)
                     assert carried == classes[dst.q], (a, b, src.q, dst.q, str(witness))
         assert pairs == 8456
+
+    @pytest.mark.parametrize("a", range(1, 11))
+    def test_complement_image_matches_polynomial_route(self, a):
+        # the sweep's mask route against lift, substitute_linear and
+        # normal_form, from the class, and from the sum of the basis
+        # monomials, of each ring of the cell into every ring of the cell; the
+        # mask route does not trim, so equal masks also show that no piece
+        # of an element in normal form goes to 0
+        for b in range(1, 11):
+            rings = [RingPresentation(a, b, q) for q in range(b + 1)]
+            basis_sum = tuple(sum(1 << i for i, j in basis(rings[0], d)) for d in range(a + b - 1))
+            for src, dst in product(rings, repeat=2):
+                for element in (total_sw_class(src), RingElement(src, basis_sum)):
+                    carried = substitute_linear(element.lift(), COMPLEMENT_SUBSTITUTION)
+                    assert cohomology._complement_image(element.masks, dst) == normal_form(
+                        carried, dst).masks, (a, b, src.q, dst.q, element)
 
     def test_swap_failures_sweep_is_empty(self):
         assert sw_swap_failures(8, 8) == []
