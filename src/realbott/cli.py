@@ -21,8 +21,9 @@ columns wide on every terminal, and every usage error (exit 2) under its
 command's usage line.
 Exit codes: 0 success, 1 the ring oracle and the congruence criterion
 disagree, 2 usage error, 3 internal error (with its traceback on stderr),
-130 interrupted (128 + SIGINT), 141 stdout closed by its reader (128 +
-SIGPIPE, as a shell reports a filter that SIGPIPE ended), with no traceback.
+74 output that cannot be written (EX_IOERR), 130 interrupted (128 +
+SIGINT), 141 stdout closed by its reader (128 + SIGPIPE, as a shell reports
+a filter that SIGPIPE ended); only 3 writes a traceback.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ SCHEMA = (
 FORMATS = ("text", "csv", "json", "jsonl")
 
 INTERNAL_ERROR_EXIT = 3
+WRITE_ERROR_EXIT = 74
 INTERRUPT_EXIT = 130
 CLOSED_PIPE_EXIT = 141
 USAGE_EXIT = 2
@@ -610,6 +612,11 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
         # Python's flush of stdout at exit go to /dev/null
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = CLOSED_PIPE_EXIT
+    except OSError as exc:
+        # a write failed, as on a full disk; Python's flush at exit would fail again
+        print(f"realbott: cannot write output: {exc.strerror}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = WRITE_ERROR_EXIT
     except KeyboardInterrupt:
         print("realbott: interrupted", file=sys.stderr)
         code = INTERRUPT_EXIT

@@ -60,8 +60,8 @@ class RingPresentation(_Record):
     replacement by b - q, the classifier wants the raw value).
     """
 
-    # (a, b, q), then the masks of the x-exponents below a and of the second relation cut to them
-    __slots__ = ("a", "b", "q", "_below_a", "_rel2")
+    # (a, b, q), then the mask of the second relation cut below x^a
+    __slots__ = ("a", "b", "q", "_rel2")
     _fields = ("a", "b", "q")
 
     def __init__(self, a: int, b: int, q: int):
@@ -75,7 +75,6 @@ class RingPresentation(_Record):
         setter(self, "a", a)
         setter(self, "b", b)
         setter(self, "q", q)
-        setter(self, "_below_a", (1 << a) - 1)
         setter(self, "_rel2", self.relation_image(IDENTITY_SUBSTITUTION))
 
     @property
@@ -86,8 +85,9 @@ class RingPresentation(_Record):
     def relation_image(self, subst: LinearSubstitution) -> int:
         """The image (L1+L2)^q L2^(b-q) of the second relation under x -> L1,
         y -> L2, cut below x^a; each factor is cut first, by _cut_power."""
-        return clmul(_cut_power(subst.fx ^ subst.fy, self.q, self.a),
-                     _cut_power(subst.fy, self.b - self.q, self.a)) & self._below_a
+        image = clmul(_cut_power(subst.fx ^ subst.fy, self.q, self.a),
+                      _cut_power(subst.fy, self.b - self.q, self.a))
+        return image & (1 << self.a) - 1 if image >> self.a else image
 
     def reduce(self, mask: int, d: int) -> int:
         """Normal form of the degree-d piece mask, as a mask on the basis.
@@ -96,21 +96,16 @@ class RingPresentation(_Record):
         relation shifted by i, which sets only higher bits, so one ascending
         pass suffices; bits >= a need no R2, since R1 drops them.
         """
-        if d < self.b:
-            return mask & self._below_a
-        last = min(d - self.b, self.a - 1)
-        mask &= self._below_a
-        while mask:
-            i = (mask & -mask).bit_length() - 1
-            if i > last:
-                break
-            mask ^= self._rel2 << i
-        return mask & self._below_a
+        if d >= self.b:
+            last = min(d - self.b, self.a - 1)
+            while mask and (i := (mask & -mask).bit_length() - 1) <= last:
+                mask ^= self._rel2 << i
+        return mask & (1 << self.a) - 1 if mask >> self.a else mask
 
 
 class RingElement(_Record):
-    """A ring element in normal form: masks[d] is its reduced degree-d piece,
-    on the basis bits of pres.reduce, with trailing zero pieces trimmed."""
+    """A ring element in normal form: masks[d] is its degree-d piece, on the
+    basis bits d - b < i < min(a, d + 1), with trailing zero pieces trimmed."""
 
     __slots__ = _fields = ("pres", "masks")
 
@@ -120,7 +115,7 @@ class RingElement(_Record):
         if masks and not masks[-1]:
             raise ValueError(f"untrimmed pieces {masks}")
         for d, mask in enumerate(masks):
-            if mask >> d + 1 or pres.reduce(mask, d) != mask:
+            if mask >> min(d + 1, pres.a) or d >= pres.b and mask & (1 << d - pres.b + 1) - 1:
                 raise ValueError(f"degree-{d} piece {mask:#b} not in normal form for {pres}")
 
     @property
@@ -171,7 +166,7 @@ def total_sw_class(pres: RingPresentation) -> RingElement:
     with w1 = y, and a base contribution (1+x)^a.  Cross-validated by the
     swap symmetry q <-> b - q in the test suite.
     """
-    top, below_a, m = pres.top_degree, pres._below_a, pres.b - pres.q
+    top, below_a, m = pres.top_degree, (1 << pres.a) - 1, pres.b - pres.q
     # bits >= a and degrees > top vanish.  (1+x)^a (1+y)^m has the degree-d piece
     # sum C(a, i) C(m, d-i) x^i; C(n, j) is bit j of linear_power(0b11, n), which
     # reads the same backwards (C(n, j) = C(n, n-j)), so C(m, d-i) is bit i of row_m << d >> m

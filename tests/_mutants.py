@@ -73,8 +73,8 @@ MUTANTS = (
            "a substitution of degree-1 rank 1 passes as an isomorphism",
            "tests/test_acceptance.py::test_criterion_1_oracle_matches_congruence_criterion"),
     Mutant("cohomology.py",
-           "top, below_a, m = pres.top_degree, pres._below_a, pres.b - pres.q",
-           "top, below_a, m = pres.top_degree, pres._below_a, pres.q",
+           "top, below_a, m = pres.top_degree, (1 << pres.a) - 1, pres.b - pres.q",
+           "top, below_a, m = pres.top_degree, (1 << pres.a) - 1, pres.q",
            "the Stiefel-Whitney factor 1 + y gets the exponent q, not b - q",
            "tests/test_cohomology.py::TestTotalSWClass::test_frozen_examples[4-5-3-expected6]"),
     Mutant("arithmetic.py",
@@ -83,8 +83,8 @@ MUTANTS = (
            "rigidity claimed at a = 10, where h(10) = 4 < k(10) = 5",
            "tests/test_acceptance.py::test_criterion_6_rigidity_dichotomy"),
     Mutant("cohomology.py",
-           "if mask >> d + 1 or pres.reduce(mask, d) != mask:",
-           "if pres.reduce(mask, d) != mask:",
+           "if mask >> min(d + 1, pres.a) or",
+           "if mask >> pres.a or",
            "RingElement accepts a bit above its degree, a negative y-exponent",
            "tests/test_cohomology.py::TestElementArithmetic::test_pieces_not_in_normal_form_rejected[above-degree]"),
     Mutant("oracle.py",
@@ -113,8 +113,8 @@ MUTANTS = (
            "a landing joins the class without a check",
            "tests/test_cli.py::TestVerify::test_search_fault_is_a_mismatch"),
     Mutant("cohomology.py",
-           "_cut_power(subst.fy, self.b - self.q, self.a)) & self._below_a",
-           "_cut_power(subst.fy, self.b - self.q, self.a))",
+           "return image & (1 << self.a) - 1 if image >> self.a else image",
+           "return image",
            "the image of the second relation is not cut below x^a",
            "tests/test_cohomology.py::TestRelationImage::test_matches_reference_expansion[2]"),
     Mutant("oracle.py",
@@ -283,8 +283,8 @@ MUTANTS = (
            "a record's fields can be assigned after construction",
            "tests/test_records.py::test_fields_cannot_be_assigned_or_deleted[RingPresentation]"),
     Mutant("cohomology.py",
-           "if d < self.b:",
-           "if d <= self.b:",
+           "if d >= self.b:",
+           "if d > self.b:",
            "reduce leaves degree b unrewritten, where y^b is rewritten first",
            "tests/test_acceptance.py::test_criterion_1_oracle_matches_congruence_criterion"),
     Mutant("cohomology.py",
@@ -307,6 +307,21 @@ MUTANTS = (
            "bad += [(a, b, q) for q in range(len(fails)) if fails[q]]",
            "the sweep reports only the q <= b/2 side of a failing pair",
            "tests/test_cohomology.py::TestTotalSWClass::test_swap_failures_sweep_reports_each_failure"),
+    Mutant("cohomology.py",
+           "mask & (1 << d - pres.b + 1) - 1:",
+           "mask & (1 << d - pres.b) - 1:",
+           "RingElement accepts bit d - b, the monomial x^(d-b) y^b",
+           "tests/test_cohomology.py::TestElementArithmetic::test_pieces_not_in_normal_form_rejected[y-exponent-b]"),
+    Mutant("cohomology.py",
+           "if mask >> min(d + 1, pres.a) or",
+           "if mask >> d + 1 or",
+           "RingElement accepts a bit at or above a, an x-exponent that R1 drops",
+           "tests/test_cohomology.py::TestElementArithmetic::test_pieces_not_in_normal_form_rejected[x-exponent-a]"),
+    Mutant("cohomology.py",
+           "return mask & (1 << self.a) - 1 if mask >> self.a else mask",
+           "return mask",
+           "reduce keeps bits at or above a, which R1 drops",
+           "tests/test_cohomology.py::TestNormalForm::test_first_relation_dies"),
 )
 
 PYTEST = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider")

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -90,6 +91,7 @@ def records_of(output: str) -> list[dict]:
 
 
 CLI_MAIN = "from realbott.cli import main\nmain(sys.argv[1:])\n"
+FULL = "/dev/full"  # every write to it fails with ENOSPC
 
 
 def bounded_child(code: str, *argv: str) -> tuple[subprocess.CompletedProcess, float]:
@@ -317,6 +319,25 @@ class TestClassify:
         result, elapsed = bounded_child(code)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "True\n"
+        assert elapsed < 2, elapsed
+
+    def test_huge_a_ring_builds_in_bounded_memory(self):
+        # no mask as wide as x^a is built: every image of the second
+        # relation has at most min(a, b + 1) bits
+        code = ("from itertools import product\n"
+                "from realbott.cohomology import RingPresentation\n"
+                "from realbott.gf2poly import LinearSubstitution\n"
+                "for q in range(4):\n"
+                "    ring = RingPresentation(10**10, 3, q)\n"
+                "    images = [ring.relation_image(LinearSubstitution(fx, fy))\n"
+                "              for fx, fy in product(range(4), repeat=2)]\n"
+                "    print(len(images), max(images).bit_length(), ring.reduce(ring._rel2, 3))\n")
+        result, elapsed = bounded_child(code)
+        assert result.returncode == 0, result.stderr
+        lines = [list(map(int, line.split())) for line in result.stdout.splitlines()]
+        assert len(lines) == 4, result.stdout
+        for count, width, reduced in lines:
+            assert count == 16 and width <= 4 and reduced == 0, result.stdout
         assert elapsed < 2, elapsed
 
     def test_out_writes_file(self, runner, tmp_path):
@@ -737,6 +758,22 @@ class TestEndsCleanly:
             err = child.stderr.read()
         assert child.wait(timeout=60) == cli.CLOSED_PIPE_EXIT, err
         assert err == ""
+
+    @pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL}")
+    @pytest.mark.parametrize("argv, to_stdout", [
+        (["table", "--a", "3", "--b", "2", "--out", FULL], False),
+        (["verify", "--only", "a=2,b=2", "--out", FULL], False),
+        (["--help"], True),
+        (["table", "--a", "3", "--b", "200"], True),
+    ], ids=["table-out", "verify-out", "help-stdout", "table-stdout"])
+    def test_write_error_exits_74(self, argv, to_stdout):
+        # a device that refuses every write, as a full disk does
+        with open(FULL, "w") if to_stdout else contextlib.nullcontext(subprocess.PIPE) as stdout:
+            child = cli_child(argv, stdout=stdout, stderr=subprocess.PIPE)
+            out, err = child.communicate(timeout=60)
+        assert child.returncode == cli.WRITE_ERROR_EXIT == 74, err
+        assert err == f"realbott: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+        assert not out
 
     def test_interrupt_exits_130(self):
         child = cli_child(["verify", "--a-max", "64", "--b-max", "128"],

@@ -253,6 +253,22 @@ class TestElementArithmetic:
         with pytest.raises(ValueError):
             RingElement(RingPresentation(3, 3, 1), masks)
 
+    @pytest.mark.parametrize("a", range(1, 6))
+    def test_accepts_exactly_the_pieces_reduce_fixes(self, a):
+        # the closed-form basis against reduce: a piece is in normal form iff reduce fixes it
+        for b in range(1, 6):
+            for q in range(b + 1):
+                pres = RingPresentation(a, b, q)
+                for d in range(a + b + 1):
+                    for mask in range(1, 1 << d + 1):
+                        try:
+                            RingElement(pres, (0,) * d + (mask,))
+                        except ValueError:
+                            accepted = False
+                        else:
+                            accepted = True
+                        assert accepted == (pres.reduce(mask, d) == mask), (pres, d, bin(mask))
+
     @given(presentations, st.data())
     def test_ring_axioms(self, pres, data):
         basis_pairs = st.frozensets(

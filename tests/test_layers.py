@@ -2,9 +2,9 @@
 engine (gf2poly, cohomology, oracle) never imports the number theory
 (arithmetic), and arithmetic imports no realbott module at run time.  The
 image of the second relation is built in cohomology alone: oracle imports
-no clmul, and no other module reads RingPresentation._below_a.  And
-the package's exports: each public name is stated once, in the `__all__` of
-the library module that defines it, and realbott.__all__ is their union."""
+no clmul.  And the package's exports: each public name is stated once, in
+the `__all__` of the library module that defines it, and realbott.__all__
+is their union."""
 
 import ast
 import importlib
@@ -58,13 +58,6 @@ def test_oracle_imports_no_clmul():
     tree = ast.parse((SRC / "oracle.py").read_text())
     assert "clmul" not in {alias.name for node in ast.walk(tree)
                            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-
-
-def test_only_cohomology_reads_below_a():
-    readers = {path.stem for path in SRC.glob("*.py")
-               if any(isinstance(node, ast.Attribute) and node.attr == "_below_a"
-                      for node in ast.walk(ast.parse(path.read_text())))}
-    assert readers == {"cohomology"}
 
 
 @pytest.mark.parametrize("module", ["oracle", "cohomology", "gf2poly"])

@@ -62,9 +62,10 @@ def test_fields_cannot_be_assigned_or_deleted(name):
 
 
 def test_presentation_compares_only_a_b_q():
-    # _below_a and _rel2 follow from (a, b, q) and stay out of repr and ==
+    # _rel2 follows from (a, b, q) and stays out of repr and ==; no mask of
+    # the x-exponents below a is kept
     pres = RingPresentation(20, 40, 13)
-    assert pres._below_a == (1 << 20) - 1 and pres._rel2
+    assert RingPresentation.__slots__ == ("a", "b", "q", "_rel2") and pres._rel2
     assert pres == RingPresentation(20, 40, 13) and "_rel2" not in repr(pres)
     with pytest.raises(AttributeError):
         pres._rel2 = 0
